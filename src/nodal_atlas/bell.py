@@ -217,20 +217,21 @@ def _eval_by_signature_sum(r, values):
     return acc
 
 
-def _eval_by_exp_series(r, values):
-    # r! * [t^r] exp(sum_l values_l t^l / l!), via the standard exp recurrence.
-    c = [Fraction(0)] + [Fraction(values[l - 1], math.factorial(l)) for l in range(1, r + 1)]
-    g = [Fraction(1)] + [Fraction(0)] * r
+def _eval_by_recurrence(r, values):
+    # Y_n = sum_{k=1}^{n} C(n-1, k-1) x_k Y_{n-k}, Y_0 = 1; ints stay ints.
+    y = [1]
     for n in range(1, r + 1):
-        g[n] = sum(Fraction(k) * c[k] * g[n - k] for k in range(1, n + 1)) / n
-    return g[r] * math.factorial(r)
+        y.append(
+            sum(math.comb(n - 1, k - 1) * values[k - 1] * y[n - k] for k in range(1, n + 1))
+        )
+    return y[r]
 
 
 def eval_complete_bell(r, values):
     """Evaluate the r-th complete Bell polynomial at the given values.
 
     Computed along two independent routes (partition-signature sum and the
-    exp formal identity); disagreement indicates a bug and raises.
+    complete Bell recurrence); disagreement indicates a bug and raises.
     """
     _check_r(r, lo=0)
     if r == 0:
@@ -238,10 +239,10 @@ def eval_complete_bell(r, values):
     if len(values) < r:
         raise ValueError(f"need at least {r} values, got {len(values)}")
     direct = _eval_by_signature_sum(r, values)
-    series = _eval_by_exp_series(r, values)
-    if direct != series:
+    recurrence = _eval_by_recurrence(r, values)
+    if direct != recurrence:
         raise AssertionError(
-            f"Bell evaluation paths disagree at r={r}: {direct} vs {series}"
+            f"Bell evaluation paths disagree at r={r}: {direct} vs {recurrence}"
         )
     return direct
 

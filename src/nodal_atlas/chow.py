@@ -216,17 +216,6 @@ class GradedClass:
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), Fraction(0))
 
-    def graded_part(self, degree):
-        """Terms of the stated total degree (L, K, H weight 1; x weight 2)."""
-        return GradedClass(
-            {
-                e: c
-                for e, c in self.terms.items()
-                if e[0] + e[1] + 2 * e[2] + e[3] == degree
-            },
-            self.h_cap,
-        )
-
     def inverse(self):
         """Inverse of a unit-leading class via truncated geometric expansion."""
         c0 = self.terms.get((0, 0, 0, 0), Fraction(0))

@@ -53,12 +53,6 @@ class SetPartition:
             sig[len(b)] = sig.get(len(b), 0) + 1
         return sig
 
-    def block_of(self, element):
-        for i, b in enumerate(self.blocks):
-            if element in b:
-                return i
-        raise KeyError(element)
-
 
 def format_partition(pi):
     """Text form '12|345'; elements are comma-separated when r > 9."""

@@ -16,11 +16,7 @@ from pathlib import Path
 
 from . import chow, kazarian
 from .bell import SparsePoly, eval_complete_bell
-from .partitions import (
-    enumerate_partitions,
-    integer_partition_signatures,
-    signature_count,
-)
+from .partitions import enumerate_partitions
 
 MAX_I = 15
 
@@ -174,31 +170,31 @@ def node_count_bruteforce(r, chern):
 
 def node_polynomial(r):
     """The universal degree-r polynomial in (d, k, s, x) counting r-nodal
-    curves, expanded symbolically."""
+    curves, Y_r(a_1, ..., a_r)/r!, expanded symbolically.
+
+    Y_r comes from the complete Bell recurrence
+    Y_n = sum_{k=1}^{n} C(n-1, k-1) a_k Y_{n-k}, Y_0 = 1, over integer
+    coefficients: multiplying by the linear form a_k shifts exponents in the
+    four variables.  The only division is the exact one by r! at the end.
+    """
     if not 1 <= r <= MAX_I:
         raise ValueError(f"node_polynomial: r must be in 1..{MAX_I}, got {r}")
-    gens = []
-    for i in range(1, r + 1):
-        form = a_form(i)
-        sf = form.sign_factorial()
-        gens.append(
-            SparsePoly(
-                4,
-                {
-                    (1, 0, 0, 0): sf * form.D,
-                    (0, 1, 0, 0): sf * form.E,
-                    (0, 0, 1, 0): sf * form.F,
-                    (0, 0, 0, 1): sf * form.G,
-                },
-            )
-        )
-    acc = SparsePoly(4)
-    for sig in integer_partition_signatures(r):
-        term = SparsePoly.constant(4, signature_count(r, sig))
-        for size, count in sig.items():
-            term = term * gens[size - 1] ** count
-        acc = acc + term
-    return acc * Fraction(1, math.factorial(r))
+    ys = [{(0, 0, 0, 0): 1}]
+    for n in range(1, r + 1):
+        y = {}
+        for k in range(1, n + 1):
+            form = a_form(k)
+            weight = math.comb(n - 1, k - 1) * form.sign_factorial()
+            for axis, coeff in enumerate((form.D, form.E, form.F, form.G)):
+                if not coeff:
+                    continue
+                c = weight * coeff
+                for expo, v in ys[n - k].items():
+                    shifted = expo[:axis] + (expo[axis] + 1,) + expo[axis + 1 :]
+                    y[shifted] = y.get(shifted, 0) + c * v
+        ys.append(y)
+    r_factorial = math.factorial(r)
+    return SparsePoly(4, {e: Fraction(c, r_factorial) for e, c in ys[r].items()})
 
 
 def severi_degree_p2(d, r):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from nodal_atlas import cli
@@ -205,3 +206,17 @@ def test_data_dir_override(tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("NODAL_ATLAS_DATA")
         tables._rows.cache_clear()
         kz._table.cache_clear()
+
+
+def test_zr_output_digest(capsys):
+    # SHA-256 of the zr stdout for r = 1..15, each in text, json and csv, as
+    # produced by the signature-power expansion (the reference in test_tables)
+    digest = hashlib.sha256()
+    for r in range(1, 16):
+        for fmt in ("text", "json", "csv"):
+            code, out, _ = run_cli(capsys, "zr", "--r", str(r), "--format", fmt)
+            assert code == 0
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "98ee1695d3e9a357da42ec5fb0c430ac4a626a7531dc83a0b0b834446796e43c"
+    )

@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from nodal_atlas.bell import SparsePoly
 from nodal_atlas.exact import PolyD
+from nodal_atlas.partitions import integer_partition_signatures, signature_count
 from nodal_atlas.tables import (
     MAX_I,
     ChernNumbers,
@@ -129,12 +132,44 @@ def test_node_count_range():
 def test_node_polynomial_matches_node_count():
     surfaces = _geometric_surfaces()
     rng = random.Random(77)
-    for r in range(1, 9):
+    for r in range(1, MAX_I + 1):
         poly = node_polynomial(r)
         assert poly.total_degree() == r
         for chern in rng.sample(surfaces, 6):
             value = poly.evaluate([chern.d, chern.k, chern.s, chern.x])
             assert value == node_count(r, chern)
+
+
+def _node_polynomial_by_signature_powers(r):
+    """Reference expansion: sum over block-size signatures of the multinomial
+    count times prod a_i^{j_i}, in SparsePoly arithmetic, over r!."""
+    gens = []
+    for i in range(1, r + 1):
+        form = a_form(i)
+        sf = form.sign_factorial()
+        gens.append(
+            SparsePoly(
+                4,
+                {
+                    (1, 0, 0, 0): sf * form.D,
+                    (0, 1, 0, 0): sf * form.E,
+                    (0, 0, 1, 0): sf * form.F,
+                    (0, 0, 0, 1): sf * form.G,
+                },
+            )
+        )
+    acc = SparsePoly(4)
+    for sig in integer_partition_signatures(r):
+        term = SparsePoly.constant(4, signature_count(r, sig))
+        for size, count in sig.items():
+            term = term * gens[size - 1] ** count
+        acc = acc + term
+    return acc * Fraction(1, math.factorial(r))
+
+
+def test_node_polynomial_matches_signature_powers():
+    for r in range(1, 10):
+        assert node_polynomial(r).terms == _node_polynomial_by_signature_powers(r).terms
 
 
 def test_node_polynomial_degree_one():
