@@ -2,9 +2,9 @@
 
 The polynomials are generated from block-size signatures of set partitions
 (the multinomial count r!/(prod (i!)^j_i j_i!)), which keeps a single
-combinatorial source of truth with the partition-lattice layer.  Test code
-cross-checks the coefficients against direct set-partition enumeration and
-against the classical recurrence.
+combinatorial source of truth with the partition-lattice layer.  Evaluation
+uses the O(r^2) complete Bell recurrence alone; the p(r)-term signature sum
+is the oracle in `checks`, and the tests compare the two routes.
 """
 
 from __future__ import annotations
@@ -207,44 +207,22 @@ def partial_bell(n, l):
     return SparsePoly(n, terms)
 
 
-def _eval_by_signature_sum(r, values):
-    acc = Fraction(0)
-    for sig in integer_partition_signatures(r):
-        term = Fraction(signature_count(r, sig))
-        for i, j in sig.items():
-            term *= Fraction(values[i - 1]) ** j
-        acc += term
-    return acc
+def eval_complete_bell(r, values):
+    """Evaluate the r-th complete Bell polynomial at the given values.
 
-
-def _eval_by_recurrence(r, values):
-    # Y_n = sum_{k=1}^{n} C(n-1, k-1) x_k Y_{n-k}, Y_0 = 1; ints stay ints.
+    Uses the recurrence Y_n = sum_{k=1}^{n} C(n-1, k-1) x_k Y_{n-k}, Y_0 = 1,
+    in O(r^2) ring operations: integer inputs give an int, rational inputs a
+    Fraction.
+    """
+    _check_r(r, lo=0)
+    if len(values) < r:
+        raise ValueError(f"need at least {r} values, got {len(values)}")
     y = [1]
     for n in range(1, r + 1):
         y.append(
             sum(math.comb(n - 1, k - 1) * values[k - 1] * y[n - k] for k in range(1, n + 1))
         )
     return y[r]
-
-
-def eval_complete_bell(r, values):
-    """Evaluate the r-th complete Bell polynomial at the given values.
-
-    Computed along two independent routes (partition-signature sum and the
-    complete Bell recurrence); disagreement indicates a bug and raises.
-    """
-    _check_r(r, lo=0)
-    if r == 0:
-        return Fraction(1)
-    if len(values) < r:
-        raise ValueError(f"need at least {r} values, got {len(values)}")
-    direct = _eval_by_signature_sum(r, values)
-    recurrence = _eval_by_recurrence(r, values)
-    if direct != recurrence:
-        raise AssertionError(
-            f"Bell evaluation paths disagree at r={r}: {direct} vs {recurrence}"
-        )
-    return direct
 
 
 def bell_transform(log_coeffs):

@@ -9,13 +9,17 @@ KNOWN_X_CHANNEL_DEFECT).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from . import chow, kazarian
 from .exact import PolyD
+from .partitions import integer_partition_signatures, signature_count
 from .qseries import TABLE_ORDER, gyz_channel_residual, recover_b1, recover_log_b1, recover_log_b1_direct
 from .tables import (
+    MAX_I,
     ChernNumbers,
     TILDE_EXEMPT_CELLS,
     a_decomposition_check,
@@ -79,6 +83,50 @@ REFERENCE_RATIOS = {
 # equivalent to a shift of -4960 in the reduced x-cell.  All other orders
 # and the full d-channel vanish identically.
 KNOWN_X_CHANNEL_DEFECT = {"order": 15, "residual": Fraction(992, 3)}
+
+
+@lru_cache(maxsize=None)
+def _signature_terms(r):
+    """The monomials of the r-th complete Bell polynomial as
+    (count, ((block size, multiplicity), ...)), one per integer partition."""
+    return tuple(
+        (signature_count(r, sig), tuple(sorted(sig.items())))
+        for sig in integer_partition_signatures(r)
+    )
+
+
+def complete_bell_by_signatures(r, values):
+    """Oracle for bell.eval_complete_bell: the p(r)-term sum over block-size
+    signatures of count * prod x_i^{j_i}.  Integers stay integers; any other
+    input is evaluated in Fractions."""
+    xs = list(values[:r])
+    if not all(isinstance(v, int) for v in xs):
+        xs = [Fraction(v) for v in xs]
+    return sum(
+        count * math.prod(xs[i - 1] ** j for i, j in sig)
+        for count, sig in _signature_terms(r)
+    )
+
+
+def node_count_by_signatures(r, chern):
+    """Oracle for tables.node_count through the signature sum; the same
+    ArithmeticError on a non-integral count."""
+    total = complete_bell_by_signatures(r, [a_form(i).evaluate(chern) for i in range(1, r + 1)])
+    quotient, remainder = divmod(total, math.factorial(r))
+    if remainder:
+        raise ArithmeticError(f"signature-sum node count is not integral at r={r}, chern={chern}")
+    return quotient
+
+
+# Surfaces for the route comparison beyond the plane, as (d, k, s, x): a K3
+# surface with L^2 = 4, P^1 x P^1 with O(2, 3), an Enriques surface with
+# L^2 = 6, and the quintic surface in P^3 with its hyperplane class.
+ORACLE_SURFACES = (
+    ChernNumbers(4, 0, 0, 24),
+    ChernNumbers(12, -10, 8, 4),
+    ChernNumbers(6, 0, 0, 12),
+    ChernNumbers(5, 5, 5, 55),
+)
 
 
 @dataclass(frozen=True)
@@ -203,6 +251,20 @@ def check_integrality_grid():
     return CheckResult("node counts integral on the degree/nodes grid", True)
 
 
+def check_node_count_routes():
+    surfaces = [ChernNumbers.p2(d) for d in range(1, 11)] + list(ORACLE_SURFACES)
+    bad = [
+        (chern.as_tuple(), r)
+        for chern in surfaces
+        for r in range(0, MAX_I + 1)
+        if node_count(r, chern) != node_count_by_signatures(r, chern)
+    ]
+    return CheckResult(
+        "node counts: Bell recurrence equals the signature-sum oracle", not bad,
+        f"mismatches at {bad}" if bad else "",
+    )
+
+
 ALL_CHECKS = (
     check_equivalence_forms,
     check_plane_equivalence_table,
@@ -215,6 +277,7 @@ ALL_CHECKS = (
     check_b1_pipeline,
     check_ratio_table,
     check_integrality_grid,
+    check_node_count_routes,
 )
 
 

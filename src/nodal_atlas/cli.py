@@ -39,6 +39,13 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_INCONSISTENT = 3
 
+# Largest `series --order`; at this order the slowest series (--delta) takes
+# well under a second from a cold start.
+MAX_SERIES_ORDER = 60
+# Largest node count `count --oracle` also checks by enumerating every set
+# partition (B_9 = 21147 of them); the signature-sum oracle covers every r.
+MAX_BRUTEFORCE_NODES = 9
+
 
 class ConsistencyError(Exception):
     """An exact identity that must hold numerically failed."""
@@ -77,11 +84,17 @@ def _cmd_count(args):
     chern = _surface(args)
     value = node_count(args.nodes, chern)
     if args.oracle:
-        brute = node_count_bruteforce(args.nodes, chern)
-        if brute != value:
+        oracle = checks.node_count_by_signatures(args.nodes, chern)
+        if oracle != value:
             raise ConsistencyError(
-                f"oracle disagreement at r={args.nodes}: {value} vs brute-force {brute}"
+                f"oracle disagreement at r={args.nodes}: {value} vs signature sum {oracle}"
             )
+        if args.nodes <= MAX_BRUTEFORCE_NODES:
+            brute = node_count_bruteforce(args.nodes, chern)
+            if brute != value:
+                raise ConsistencyError(
+                    f"oracle disagreement at r={args.nodes}: {value} vs brute-force {brute}"
+                )
     payload = {
         "command": "count",
         "nodes": args.nodes,
@@ -200,6 +213,8 @@ def _series_payload(name, series):
 
 def _cmd_series(args):
     order = args.order
+    if not 0 <= order <= MAX_SERIES_ORDER:
+        raise ValueError(f"--order must be in 0..{MAX_SERIES_ORDER}, got {order}")
     if args.gyz_check:
         if args.channel is None:
             raise ValueError("--gyz-check needs --channel (one of d, k, s, x)")
@@ -252,6 +267,7 @@ def _cmd_ratios(args):
 
 
 def _cmd_check(args):
+    all_forms()  # malformed data assets are a validation error, not failing checks
     results = checks.run_all()
     lines = []
     rows = [["check", "status", "detail"]]
@@ -290,7 +306,8 @@ def build_parser():
     p.add_argument("--degree", "-d", type=int, help="plane curves of this degree")
     p.add_argument("--chern", help="surface as d,k,s,x")
     p.add_argument("--oracle", action="store_true",
-                   help="cross-check against the set-partition sum")
+                   help="cross-check against the signature-sum oracle and, for "
+                   f"r <= {MAX_BRUTEFORCE_NODES}, the sum over all set partitions")
     p.set_defaults(run=_cmd_count)
 
     p = sub.add_parser("zr", parents=[common],
@@ -341,7 +358,9 @@ def build_parser():
     which.add_argument("--gyz-check", dest="gyz_check", action="store_true",
                        help="residual of one channel of the log generating identity")
     p.add_argument("--channel", choices=("d", "k", "s", "x"))
-    p.add_argument("--order", type=int, default=TABLE_ORDER)
+    p.add_argument("--order", type=int, default=TABLE_ORDER,
+                   help=f"truncation order, 0..{MAX_SERIES_ORDER} (--b1, --b2 and "
+                   f"--gyz-check stop at {TABLE_ORDER})")
     p.set_defaults(run=_cmd_series, which=None, gyz_check=False)
 
     p = sub.add_parser("ratios", parents=[common],

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .bell import bell_transform
 from .exact import format_rational
 
 DEFAULT_ORDER = 16
@@ -281,9 +280,8 @@ def recover_log_b1_direct(order, forms):
 
 
 def recover_b1(order, forms):
-    """B_1 itself: the Bell transform (series exp) of log B_1; b_0 = 1."""
-    log_b1 = recover_log_b1(order, forms)
-    return PowerSeries(bell_transform(log_b1.coeffs[1 : order + 1]), order)
+    """B_1 itself: the series exponential of log B_1; b_0 = 1."""
+    return series_exp(recover_log_b1(order, forms))
 
 
 def recover_log_b2(order, forms):
@@ -293,8 +291,7 @@ def recover_log_b2(order, forms):
 
 
 def recover_b2(order, forms):
-    log_b2 = recover_log_b2(order, forms)
-    return PowerSeries(bell_transform(log_b2.coeffs[1 : order + 1]), order)
+    return series_exp(recover_log_b2(order, forms))
 
 
 def gyz_channel_residual(channel, order, forms):

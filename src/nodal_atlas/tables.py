@@ -74,20 +74,51 @@ def _data_dir():
     return Path(__file__).parent / "data"
 
 
+_ROW_KEYS = ("i", "D", "E", "F", "G", "a", "a_tilde")
+
+
+def _parse_row(position, row):
+    """One row of a_forms.json; it must be row `position` of the run 1..MAX_I
+    and its signed row `a` must equal (-1)^{i-1} (i-1)! (D, E, F, G).  The
+    reduced row `a_tilde` is not checked: row 14 prints one x-cell with the
+    wrong sign (see TILDE_EXEMPT_CELLS)."""
+    missing = [key for key in _ROW_KEYS if key not in row]
+    if missing:
+        raise ValueError(f"missing keys {missing}")
+    i = int(row["i"])
+    if i != position or i > MAX_I:
+        raise ValueError(f"has i={i}; rows must run contiguously from 1 to {MAX_I}")
+    form = NodeLinearForm(i, int(row["D"]), int(row["E"]), int(row["F"]), int(row["G"]))
+    a = tuple(int(c) for c in row["a"])
+    sf = form.sign_factorial()
+    want = (sf * form.D, sf * form.E, sf * form.F, sf * form.G)
+    if a != want:
+        raise ValueError(f"a = {list(a)} but (-1)^(i-1) (i-1)! (D, E, F, G) = {list(want)}")
+    return {"form": form, "a": a, "a_tilde": tuple(int(c) for c in row["a_tilde"])}
+
+
 @lru_cache(maxsize=None)
 def _rows():
-    with open(_data_dir() / "a_forms.json") as f:
-        raw = json.load(f)
+    """The validated table; malformed data raises ValueError naming the file
+    and the row."""
+    path = _data_dir() / "a_forms.json"
+    with open(path) as f:
+        try:
+            raw = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(raw, list):
+        raise ValueError(f"{path}: expected a list of rows")
     rows = {}
-    for row in raw:
-        i = int(row["i"])
-        rows[i] = {
-            "form": NodeLinearForm(
-                i, int(row["D"]), int(row["E"]), int(row["F"]), int(row["G"])
-            ),
-            "a": tuple(int(c) for c in row["a"]),
-            "a_tilde": tuple(int(c) for c in row["a_tilde"]),
-        }
+    for position, row in enumerate(raw, start=1):
+        try:
+            rows[position] = _parse_row(position, row)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: row {position}: {exc}") from None
+    if len(rows) < MAX_I:
+        raise ValueError(
+            f"{path}: row {len(rows) + 1}: missing; rows must run contiguously from 1 to {MAX_I}"
+        )
     return rows
 
 
@@ -138,16 +169,12 @@ def node_count(r, chern):
     """
     if r < 0 or r > MAX_I:
         raise ValueError(f"node_count: r must be in 0..{MAX_I}, got {r}")
-    if r == 0:
-        return 1
     values = [a_form(i).evaluate(chern) for i in range(1, r + 1)]
     total = eval_complete_bell(r, values)
-    quotient = total / math.factorial(r)
-    if quotient.denominator != 1:
-        raise ArithmeticError(
-            f"node count is not integral at r={r}, chern={chern}: {quotient}"
-        )
-    return quotient.numerator
+    quotient, remainder = divmod(total, math.factorial(r))
+    if remainder:
+        raise ArithmeticError(f"node count is not integral at r={r}, chern={chern}: {total}/{r}!")
+    return quotient
 
 
 def node_count_bruteforce(r, chern):

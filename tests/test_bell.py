@@ -10,6 +10,7 @@ from nodal_atlas.bell import (
     eval_complete_bell,
     partial_bell,
 )
+from nodal_atlas.checks import complete_bell_by_signatures
 from nodal_atlas.partitions import bell_number, enumerate_partitions
 
 
@@ -70,13 +71,18 @@ def test_all_ones_gives_bell_numbers():
 
 
 def test_dual_path_evaluation_random():
-    # eval_complete_bell raises internally if its two routes disagree
+    # the recurrence against the signature-sum oracle and the symbolic polynomial
     rng = random.Random(99)
-    for _ in range(200):
-        r = rng.randint(1, 10)
-        values = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(r)]
-        direct = complete_bell(r).evaluate(values)
-        assert eval_complete_bell(r, values) == direct
+    for r in range(1, 16):
+        for _ in range(8):
+            ints = [rng.randint(-50, 50) for _ in range(r)]
+            got = eval_complete_bell(r, ints)
+            assert type(got) is int
+            assert got == complete_bell_by_signatures(r, ints)
+            fracs = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(r)]
+            got = eval_complete_bell(r, fracs)
+            assert got == complete_bell_by_signatures(r, fracs)
+            assert got == complete_bell(r).evaluate(fracs)
 
 
 def test_eval_r_zero():

@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from nodal_atlas import cli
 
 
@@ -20,6 +22,14 @@ def test_count_with_oracle(capsys):
     code, out, _ = run_cli(capsys, "count", "--degree", "3", "--nodes", "1", "--oracle")
     assert code == 0
     assert out.strip() == "12"
+
+
+def test_count_with_oracle_beyond_bruteforce_range(capsys):
+    # the signature-sum oracle covers r > 9, where enumerating set partitions
+    # would build millions of objects
+    code, out, err = run_cli(capsys, "count", "--degree", "10", "--nodes", "15", "--oracle")
+    assert (code, err) == (0, "")
+    assert out.strip() == "603124430424597729707"
 
 
 def test_count_chern_surface(capsys):
@@ -112,6 +122,16 @@ def test_series_g2_default(capsys):
     assert out.strip() == "-1/24, 1, 3, 4, 7"
 
 
+def test_series_order_is_bounded_before_any_work(capsys):
+    for order in (str(cli.MAX_SERIES_ORDER + 1), "100000", "-1"):
+        code, out, err = run_cli(capsys, "series", "--g2", "--order", order)
+        assert (code, out) == (2, "")
+        assert f"0..{cli.MAX_SERIES_ORDER}" in err
+    code, out, _ = run_cli(capsys, "series", "--g2", "--order", str(cli.MAX_SERIES_ORDER))
+    assert code == 0
+    assert len(out.split(", ")) == cli.MAX_SERIES_ORDER + 1
+
+
 def test_series_gyz_check_d(capsys):
     code, out, _ = run_cli(capsys, "series", "--gyz-check", "--channel", "d",
                            "--order", "15")
@@ -183,6 +203,7 @@ def test_check_reports_known_defect(capsys):
     assert len(fails) == 1
     assert "channel residuals" in fails[0]
     assert "992/3" in fails[0]
+    assert "[PASS] node counts: Bell recurrence equals the signature-sum oracle" in lines
 
 
 def test_data_dir_override(tmp_path, monkeypatch, capsys):
@@ -206,6 +227,46 @@ def test_data_dir_override(tmp_path, monkeypatch, capsys):
         monkeypatch.delenv("NODAL_ATLAS_DATA")
         tables._rows.cache_clear()
         kz._table.cache_clear()
+
+
+def _corrupt_rows(rows, how):
+    if how == "gap":
+        del rows[6]
+    elif how == "short":
+        rows.pop()
+    elif how == "extra":
+        rows.append(dict(rows[-1], i="16"))
+    elif how == "missing-key":
+        del rows[3]["a_tilde"]
+    elif how == "signed-row":
+        rows[9]["a"][2] = str(int(rows[9]["a"][2]) + 1)
+    return rows
+
+
+@pytest.mark.parametrize("how, row", [
+    ("gap", 7), ("short", 15), ("extra", 16), ("missing-key", 4), ("signed-row", 10),
+])
+def test_bad_table_data_exits_2(tmp_path, monkeypatch, capsys, how, row):
+    import shutil
+    from pathlib import Path
+
+    import nodal_atlas.tables as tables
+
+    src = Path(tables.__file__).parent / "data"
+    rows = json.loads((src / "a_forms.json").read_text())
+    (tmp_path / "a_forms.json").write_text(json.dumps(_corrupt_rows(rows, how)))
+    shutil.copy(src / "kazarian.json", tmp_path / "kazarian.json")
+    monkeypatch.setenv("NODAL_ATLAS_DATA", str(tmp_path))
+    tables._rows.cache_clear()
+    try:
+        for argv in (("count", "--degree", "4", "--nodes", "2"), ("check",)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "a_forms.json" in err
+            assert f"row {row}:" in err
+    finally:
+        monkeypatch.delenv("NODAL_ATLAS_DATA")
+        tables._rows.cache_clear()
 
 
 def test_zr_output_digest(capsys):

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from nodal_atlas.bell import SparsePoly
+from nodal_atlas.checks import node_count_by_signatures
+from nodal_atlas.chow import multiple_point_degree
 from nodal_atlas.exact import PolyD
 from nodal_atlas.partitions import integer_partition_signatures, signature_count
 from nodal_atlas.tables import (
@@ -120,6 +122,41 @@ def test_node_count_matches_bruteforce():
     for chern in _geometric_surfaces():
         for r in range(0, 7):
             assert node_count_bruteforce(r, chern) == node_count(r, chern)
+        for r in range(0, MAX_I + 1):
+            assert node_count_by_signatures(r, chern) == node_count(r, chern)
+
+
+def test_node_count_rejects_non_integral_total():
+    # (a_1^2 + a_2)/2 = (9 - 42)/2 on the non-geometric numbers (1, 0, 0, 0)
+    with pytest.raises(ArithmeticError):
+        node_count(2, ChernNumbers(1, 0, 0, 0))
+    with pytest.raises(ArithmeticError):
+        node_count_by_signatures(2, ChernNumbers(1, 0, 0, 0))
+
+
+def test_hot_paths_skip_partition_enumeration(monkeypatch):
+    # node counts, Severi degrees and multiple-point degrees need neither
+    # enumerator; every module-level binding of both is made to raise
+    import sys
+
+    from nodal_atlas import partitions
+
+    for name in ("integer_partition_signatures", "enumerate_partitions"):
+        original = getattr(partitions, name)
+
+        def refuse(*args, _name=name, **kwargs):
+            raise AssertionError(f"{_name} called on a hot path")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("nodal_atlas") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError):
+        node_count_bruteforce(3, ChernNumbers.p2(4))
+    assert node_count(15, ChernNumbers(4, 0, 0, 24)) == -15942056412959616
+    assert node_count(15, ChernNumbers(12, -10, 8, 4)) == -17010954681295224
+    assert severi_degree_p2(9, 15) == 2152123669483852871
+    assert severi_degree_p2(4, 2) == 225
+    assert [multiple_point_degree(4, d) for d in (4, 5, 8)] == [133920, 2535120, 368613000]
 
 
 def test_node_count_range():
