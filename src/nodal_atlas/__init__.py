@@ -25,13 +25,12 @@ from .chow import (
     q_p2_extraction,
 )
 from .bell import (
-    SparsePoly,
     bell_transform,
     complete_bell,
     eval_complete_bell,
     partial_bell,
 )
-from .exact import PolyD, binomial, factorial, interpolate_quadratic
+from .exact import PolyD, SparsePoly, binomial, factorial, interpolate_quadratic
 from .kazarian import MultisingularityType, aut_order, count_multisingular, s_alpha
 from .partitions import (
     SetPartition,

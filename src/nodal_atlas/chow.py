@@ -1,15 +1,16 @@
 """Truncated intersection-ring arithmetic for the universal critical locus.
 
-Two ambient rings are implemented:
+Both rings are truncations of the sparse polynomial kernel
+``exact.SparsePoly``:
 
 * ``GradedClass`` works over a general polarized surface in the symbols
   L, K, x (surface classes; L, K of degree 1, x of degree 2, truncated
   above surface degree 2) and H (hyperplane class of the linear system,
-  truncated above a configurable power).
+  truncated above H_CAP).
 
 * ``P2Class`` is the projective-plane specialization in the hyperplane
-  class l (l^3 = 0) and H, with coefficients that are polynomials in the
-  formal curve degree d.
+  class l (l^3 = 0) and H, with the formal curve degree d as a third
+  variable.
 
 Both truncate eagerly at multiplication time: monomials above the surface
 dimension or the H cap can never contribute to any extracted coefficient,
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exact import PolyD, binomial, format_rational
+from .exact import PolyD, SparsePoly, binomial, format_rational
 
 H_CAP = 16
 Q_MAX = 8
@@ -107,178 +108,70 @@ class LinearForm:
     __repr__ = __str__
 
 
-def _surface_degree(expo):
-    e_l, e_k, e_x, _ = expo
-    return e_l + e_k + 2 * e_x
-
-
-class GradedClass:
+class GradedClass(SparsePoly):
     """Element of the truncated ring Q[L, K, x, H] with monomial keys
-    (e_L, e_K, e_x, e_H); surface degree capped at 2, H power capped at h_cap."""
+    (e_L, e_K, e_x, e_H); surface degree capped at 2, H power at H_CAP."""
 
-    __slots__ = ("terms", "h_cap")
+    __slots__ = ()
+    names = ("L", "K", "x", "H")
 
-    def __init__(self, terms=None, h_cap=H_CAP):
-        self.h_cap = h_cap
-        clean = {}
-        for expo, c in (terms or {}).items():
-            c = Fraction(c)
-            if c == 0:
-                continue
-            if _surface_degree(expo) > 2 or expo[3] > h_cap:
-                continue
-            clean[tuple(expo)] = c
-        self.terms = clean
+    def __init__(self, terms=None):
+        super().__init__(4, terms)
+
+    @staticmethod
+    def keep(expo):
+        return expo[0] + expo[1] + 2 * expo[2] <= 2 and expo[3] <= H_CAP
 
     @classmethod
-    def one(cls, h_cap=H_CAP):
-        return cls({(0, 0, 0, 0): 1}, h_cap)
+    def one(cls):
+        return cls({(0, 0, 0, 0): 1})
 
     @classmethod
-    def gen_L(cls, h_cap=H_CAP):
-        return cls({(1, 0, 0, 0): 1}, h_cap)
+    def gen_L(cls):
+        return cls({(1, 0, 0, 0): 1})
 
     @classmethod
-    def gen_K(cls, h_cap=H_CAP):
-        return cls({(0, 1, 0, 0): 1}, h_cap)
+    def gen_K(cls):
+        return cls({(0, 1, 0, 0): 1})
 
     @classmethod
-    def gen_x(cls, h_cap=H_CAP):
-        return cls({(0, 0, 1, 0): 1}, h_cap)
+    def gen_x(cls):
+        return cls({(0, 0, 1, 0): 1})
 
     @classmethod
-    def gen_H(cls, h_cap=H_CAP):
-        return cls({(0, 0, 0, 1): 1}, h_cap)
-
-    def __eq__(self, other):
-        return isinstance(other, GradedClass) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedClass({(0, 0, 0, 0): other}, self.h_cap)
-        out = dict(self.terms)
-        for expo, c in other.terms.items():
-            s = out.get(expo, Fraction(0)) + c
-            if s == 0:
-                out.pop(expo, None)
-            else:
-                out[expo] = s
-        return GradedClass(out, self.h_cap)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return GradedClass({e: -c for e, c in self.terms.items()}, self.h_cap)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GradedClass({(0, 0, 0, 0): other}, self.h_cap)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return GradedClass(
-                {e: c * other for e, c in self.terms.items()}, self.h_cap
-            )
-        if not isinstance(other, GradedClass):
-            return NotImplemented
-        cap = min(self.h_cap, other.h_cap)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(a + b for a, b in zip(e1, e2))
-                if _surface_degree(expo) > 2 or expo[3] > cap:
-                    continue
-                s = out.get(expo, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(expo, None)
-                else:
-                    out[expo] = s
-        return GradedClass(out, cap)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power of a graded class")
-        result = GradedClass.one(self.h_cap)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def coefficient(self, expo):
-        return self.terms.get(tuple(expo), Fraction(0))
-
-    def inverse(self):
-        """Inverse of a unit-leading class via truncated geometric expansion."""
-        c0 = self.terms.get((0, 0, 0, 0), Fraction(0))
-        if c0 != 1:
-            raise ValueError("inverse requires leading coefficient 1")
-        u = self - 1
-        # Positive-degree part is nilpotent here only in surface degree, so
-        # expand until the partial sums stabilize.
-        result = GradedClass.one(self.h_cap)
-        term = GradedClass.one(self.h_cap)
-        while True:
-            term = term * u * Fraction(-1)
-            if not term.terms:
-                break
-            result = result + term
-        return result
-
-    def to_dict(self):
-        """JSON-friendly map keyed by monomial strings such as 'L^2*H^3'."""
-        out = {}
-        for expo in sorted(self.terms):
-            names = ("L", "K", "x", "H")
-            factors = [
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, expo) if e
-            ]
-            key = "*".join(factors) if factors else "1"
-            out[key] = format_rational(self.terms[expo])
-        return out
-
-    def __repr__(self):
-        return f"GradedClass({self.to_dict()!r})"
+    def gen_H(cls):
+        return cls({(0, 0, 0, 1): 1})
 
 
-def critical_class(h_cap=H_CAP):
+def critical_class():
     """Class of the locus of curves with a marked singularity:
     (L+H)^3 + K(L+H)^2 + x(L+H), truncated."""
-    L = GradedClass.gen_L(h_cap)
-    K = GradedClass.gen_K(h_cap)
-    x = GradedClass.gen_x(h_cap)
-    H = GradedClass.gen_H(h_cap)
-    v = L + H
+    v = GradedClass.gen_L() + GradedClass.gen_H()
+    K, x = GradedClass.gen_K(), GradedClass.gen_x()
     return v**3 + K * v**2 + x * v
 
 
-def chern_principal_parts(h_cap=H_CAP):
+def chern_principal_parts():
     """Total Chern class of the rank-3 bundle cutting out the critical locus:
     ((1 + L + H)^2 + (1 + L + H)K + x) * (1 + L + H)."""
-    L = GradedClass.gen_L(h_cap)
-    K = GradedClass.gen_K(h_cap)
-    x = GradedClass.gen_x(h_cap)
-    H = GradedClass.gen_H(h_cap)
-    u = GradedClass.one(h_cap) + L + H
-    return (u**2 + u * K + x) * u
+    u = 1 + GradedClass.gen_L() + GradedClass.gen_H()
+    return (u**2 + u * GradedClass.gen_K() + GradedClass.gen_x()) * u
 
 
-def tangent_chern(h_cap=H_CAP):
+def tangent_chern():
     """Total Chern class of the relative tangent bundle: 1 - K + x."""
-    return GradedClass.one(h_cap) - GradedClass.gen_K(h_cap) + GradedClass.gen_x(h_cap)
+    return 1 - GradedClass.gen_K() + GradedClass.gen_x()
 
 
-def inverse_tangent_chern(h_cap=H_CAP):
-    """1 + K + (K^2 - x), computed as the truncated inverse of 1 - K + x."""
-    return tangent_chern(h_cap).inverse()
+def inverse_tangent_chern():
+    """1 + K + (K^2 - x): the geometric series of 1/(1 - u) with
+    u = 1 - c(T) = K - x, which ends because u is nilpotent."""
+    u = 1 - tangent_chern()
+    result = term = GradedClass.one()
+    while term:
+        term = term * u
+        result = result + term
+    return result
 
 
 def pushforward_to_Y(c, n):
@@ -286,143 +179,62 @@ def pushforward_to_Y(c, n):
 
     The dimension count leaves only L^2 -> d, LK -> k, K^2 -> s, x -> x.
     """
-    if n > c.h_cap:
-        raise ValueError(f"H power {n} exceeds the truncation cap {c.h_cap}")
-    form = LinearForm()
-    for (e_l, e_k, e_x, e_h), coeff in c.terms.items():
-        if e_h != n or e_l + e_k + 2 * e_x != 2:
-            continue
-        if (e_l, e_k, e_x) == (2, 0, 0):
-            form = form + LinearForm(d=coeff)
-        elif (e_l, e_k, e_x) == (1, 1, 0):
-            form = form + LinearForm(k=coeff)
-        elif (e_l, e_k, e_x) == (0, 2, 0):
-            form = form + LinearForm(s=coeff)
-        elif (e_l, e_k, e_x) == (0, 0, 1):
-            form = form + LinearForm(x=coeff)
-    return form
+    if n > H_CAP:
+        raise ValueError(f"H power {n} exceeds the truncation cap {H_CAP}")
+    return LinearForm(
+        d=c.coefficient((2, 0, 0, n)),
+        k=c.coefficient((1, 1, 0, n)),
+        s=c.coefficient((0, 2, 0, n)),
+        x=c.coefficient((0, 0, 1, n)),
+    )
 
 
-def q_general(n, h_cap=H_CAP):
+def q_general(n):
     """Equivalence of the small diagonal on a general surface, as a linear
     form in the four Chern numbers."""
     if not 1 <= n <= Q_MAX:
         raise ValueError(f"q_general: n must be in 1..{Q_MAX}, got {n}")
     cls = (
-        chern_principal_parts(h_cap) ** (n - 1)
-        * inverse_tangent_chern(h_cap) ** (n - 1)
-        * critical_class(h_cap)
+        chern_principal_parts() ** (n - 1)
+        * inverse_tangent_chern() ** (n - 1)
+        * critical_class()
     )
     return pushforward_to_Y(cls, n)
 
 
-class P2Class:
-    """Element of Q[d][l, H]/(l^3) with H truncated above h_cap; keys are
-    (e_l, e_H) and values are polynomials in the curve degree d."""
+class P2Class(SparsePoly):
+    """Element of Q[l, H, d]/(l^3) with H truncated above H_CAP; keys are
+    (e_l, e_H, e_d), with d the curve degree."""
 
-    __slots__ = ("terms", "h_cap")
+    __slots__ = ()
+    names = ("l", "H", "d")
 
-    def __init__(self, terms=None, h_cap=H_CAP):
-        self.h_cap = h_cap
-        clean = {}
-        for expo, p in (terms or {}).items():
-            if not isinstance(p, PolyD):
-                p = PolyD.constant(p) if p else PolyD()
-            if not p:
-                continue
-            e_l, e_h = expo
-            if e_l > 2 or e_h > h_cap:
-                continue
-            clean[(e_l, e_h)] = p
-        self.terms = clean
+    def __init__(self, terms=None):
+        super().__init__(3, terms)
 
-    @classmethod
-    def one(cls, h_cap=H_CAP):
-        return cls({(0, 0): PolyD([1])}, h_cap)
-
-    @classmethod
-    def from_coeffs(cls, entries, h_cap=H_CAP):
-        """entries: iterable of (e_l, e_H, PolyD-or-scalar)."""
-        terms = {}
-        for e_l, e_h, p in entries:
-            if not isinstance(p, PolyD):
-                p = PolyD.constant(p)
-            terms[(e_l, e_h)] = terms.get((e_l, e_h), PolyD()) + p
-        return cls(terms, h_cap)
-
-    def __eq__(self, other):
-        return isinstance(other, P2Class) and self.terms == other.terms
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for expo, p in other.terms.items():
-            out[expo] = out.get(expo, PolyD()) + p
-        return P2Class(out, self.h_cap)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction, PolyD)):
-            return P2Class(
-                {e: p * other for e, p in self.terms.items()}, self.h_cap
-            )
-        cap = min(self.h_cap, other.h_cap)
-        out = {}
-        for (l1, h1), p1 in self.terms.items():
-            for (l2, h2), p2 in other.terms.items():
-                e_l, e_h = l1 + l2, h1 + h2
-                if e_l > 2 or e_h > cap:
-                    continue
-                out[(e_l, e_h)] = out.get((e_l, e_h), PolyD()) + p1 * p2
-        return P2Class(out, cap)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power")
-        result = P2Class.one(self.h_cap)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
+    @staticmethod
+    def keep(expo):
+        return expo[0] <= 2 and expo[1] <= H_CAP
 
     def coefficient(self, e_l, e_h):
-        return self.terms.get((e_l, e_h), PolyD())
-
-    def to_dict(self):
-        out = {}
-        for (e_l, e_h) in sorted(self.terms):
-            factors = []
-            if e_l:
-                factors.append("l" if e_l == 1 else f"l^{e_l}")
-            if e_h:
-                factors.append("H" if e_h == 1 else f"H^{e_h}")
-            key = "*".join(factors) if factors else "1"
-            out[key] = self.terms[(e_l, e_h)].to_list()
-        return out
-
-    def __repr__(self):
-        return f"P2Class({self.to_dict()!r})"
+        """The l^e_l H^e_h coefficient, a polynomial in d."""
+        get = super().coefficient
+        top = max((e[2] for e in self.terms), default=-1)
+        return PolyD([get((e_l, e_h, e_d)) for e_d in range(top + 1)])
 
 
-def _p2_generators(h_cap=H_CAP):
-    d = PolyD.variable()
-    l = P2Class({(1, 0): PolyD([1])}, h_cap)
-    H = P2Class({(0, 1): PolyD([1])}, h_cap)
-    return d, l, H
+def _p2_generators():
+    return P2Class({(0, 0, 1): 1}), P2Class({(1, 0, 0): 1}), P2Class({(0, 1, 0): 1})
 
 
-def m_poly_p2(n, h_cap=H_CAP):
+def m_poly_p2(n):
     """(1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1} (H + (d-1)l)^3."""
     if not 1 <= n <= Q_MAX:
         raise ValueError(f"m_poly_p2: n must be in 1..{Q_MAX}, got {n}")
-    d, l, H = _p2_generators(h_cap)
+    d, l, H = _p2_generators()
     dm1_l = l * (d - 1)
-    base = P2Class.one(h_cap) + H + dm1_l
-    inv_tangent = P2Class.one(h_cap) + l * PolyD([-3]) + (l * l) * PolyD([6])
-    return base ** (3 * (n - 1)) * inv_tangent ** (n - 1) * (H + dm1_l) ** 3
+    inv_tangent = 1 - 3 * l + 6 * l * l
+    return (1 + H + dm1_l) ** (3 * (n - 1)) * inv_tangent ** (n - 1) * (H + dm1_l) ** 3
 
 
 def q_p2_extraction(n):
@@ -499,8 +311,8 @@ def excess_a1a2_p2():
     (1+(d-1)l+H)^3 (1-3l+6l^2) (2(d-3)l+2H) ((d-1)l+H)^3."""
     d, l, H = _p2_generators()
     dm1_l = l * (d - 1)
-    a = (P2Class.one() + dm1_l + H) ** 3
-    b = P2Class.one() + l * PolyD([-3]) + (l * l) * PolyD([6])
-    c = l * ((d - 3) * 2) + H * PolyD([2])
+    a = (1 + dm1_l + H) ** 3
+    b = 1 - 3 * l + 6 * l * l
+    c = 2 * (d - 3) * l + 2 * H
     e = (dm1_l + H) ** 3
     return (a * b * c * e).coefficient(2, 3)

@@ -42,6 +42,9 @@ EXIT_INCONSISTENT = 3
 # Largest `series --order`; at this order the slowest series (--delta) takes
 # well under a second from a cold start.
 MAX_SERIES_ORDER = 60
+# Largest `partitions --r`: B_10 = 115975 lines; B_12 would be about 4.2M
+# partitions held in memory at once.
+MAX_PARTITIONS_R = 10
 # Largest node count `count --oracle` also checks by enumerating every set
 # partition (B_9 = 21147 of them); the signature-sum oracle covers every r.
 MAX_BRUTEFORCE_NODES = 9
@@ -172,6 +175,8 @@ def _cmd_bell(args):
 
 
 def _cmd_partitions(args):
+    if not 1 <= args.r <= MAX_PARTITIONS_R:
+        raise ValueError(f"--r must be in 1..{MAX_PARTITIONS_R}, got {args.r}")
     parts = enumerate_partitions(args.r)
     lines = []
     records = []
@@ -267,7 +272,9 @@ def _cmd_ratios(args):
 
 
 def _cmd_check(args):
-    all_forms()  # malformed data assets are a validation error, not failing checks
+    # malformed data assets are a validation error, not failing checks
+    all_forms()
+    s_alpha("A1")
     results = checks.run_all()
     lines = []
     rows = [["check", "status", "detail"]]
@@ -337,7 +344,7 @@ def build_parser():
     p.set_defaults(run=_cmd_bell)
 
     p = sub.add_parser("partitions", parents=[common], help="set partitions of {1..r}")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=int, required=True, help=f"ground set size, 1..{MAX_PARTITIONS_R}")
     p.add_argument("--mobius", action="store_true",
                    help="annotate each partition with its Moebius coefficient")
     p.set_defaults(run=_cmd_partitions)

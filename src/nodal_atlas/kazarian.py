@@ -4,14 +4,12 @@ partition-sum counting formula for curves with a prescribed multisingularity.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
+from . import assets
 from .chow import LinearForm
 from .partitions import enumerate_partitions
 
@@ -81,23 +79,19 @@ def aut_order(alpha):
     return n
 
 
-def _data_dir():
-    override = os.environ.get("NODAL_ATLAS_DATA")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
-
-
 @lru_cache(maxsize=None)
 def _table():
-    with open(_data_dir() / "kazarian.json") as f:
-        rows = json.load(f)
+    """The validated Thom table, keyed by canonical type; malformed data
+    raises ValueError naming the file and the row."""
     table = {}
-    for row in rows:
+
+    def parse_row(position, row):
         key = MultisingularityType.parse(row["labels"]).key()
-        table[key] = LinearForm(
-            int(row["d"]), int(row["k"]), int(row["s"]), int(row["x"])
-        )
+        if key in table:
+            raise ValueError(f"duplicate type {key}")
+        table[key] = LinearForm(*(int(row[c]) for c in "dksx"))
+
+    assets.load_rows("kazarian.json", ("labels", "d", "k", "s", "x"), parse_row)
     return table
 
 
@@ -105,13 +99,13 @@ def s_alpha(alpha):
     """The tabulated linear form for a type of codimension <= 4."""
     if isinstance(alpha, str):
         alpha = MultisingularityType.parse(alpha)
-    try:
-        return _table()[alpha.key()]
-    except KeyError:
+    form = _table().get(alpha.key())
+    if form is None:
         raise KeyError(
             f"multisingularity type {alpha.key()} is not in the table "
             f"(codimension {alpha.codim})"
-        ) from None
+        )
+    return form
 
 
 def count_multisingular(alpha, chern):

@@ -10,7 +10,8 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-DEFAULT_CAP = 12
+# Largest ground set enumerated: B_12 = 4,213,597 partitions.
+MAX_R = 12
 
 
 class SetPartition:
@@ -71,15 +72,15 @@ def parse_partition(text, r=None):
     return SetPartition(blocks, r=r)
 
 
-def enumerate_partitions(r, cap=DEFAULT_CAP):
+def enumerate_partitions(r):
     """All set partitions of {1,...,r}, canonically ordered, each exactly once.
 
     Enumeration is by restricted-growth strings: element i goes into block
     a_i with a_i <= 1 + max(a_1..a_{i-1}).  This yields every partition in
     canonical form with no duplicates.
     """
-    if not 1 <= r <= cap:
-        raise ValueError(f"enumerate_partitions: r must be in 1..{cap}, got {r}")
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"enumerate_partitions: r must be in 1..{MAX_R}, got {r}")
     result = []
     assignment = [0] * r
 

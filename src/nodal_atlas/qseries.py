@@ -84,9 +84,6 @@ class PowerSeries:
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
 
-    def truncate(self, order):
-        return PowerSeries(self.coeffs, min(order, self.order))
-
     def __add__(self, other):
         if isinstance(other, (int, Fraction)):
             other = PowerSeries([other], self.order)

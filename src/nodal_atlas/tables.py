@@ -5,17 +5,15 @@ table to the equivalence/correction terms and the Thom polynomials.
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 
-from . import chow, kazarian
-from .bell import SparsePoly, eval_complete_bell
+from . import assets, chow, kazarian
+from .bell import eval_complete_bell
+from .exact import SparsePoly
 from .partitions import enumerate_partitions
 
 MAX_I = 15
@@ -67,24 +65,11 @@ class NodeLinearForm:
         return self.linear_form().specialize_p2()
 
 
-def _data_dir():
-    override = os.environ.get("NODAL_ATLAS_DATA")
-    if override:
-        return Path(override)
-    return Path(__file__).parent / "data"
-
-
-_ROW_KEYS = ("i", "D", "E", "F", "G", "a", "a_tilde")
-
-
 def _parse_row(position, row):
     """One row of a_forms.json; it must be row `position` of the run 1..MAX_I
     and its signed row `a` must equal (-1)^{i-1} (i-1)! (D, E, F, G).  The
     reduced row `a_tilde` is not checked: row 14 prints one x-cell with the
     wrong sign (see TILDE_EXEMPT_CELLS)."""
-    missing = [key for key in _ROW_KEYS if key not in row]
-    if missing:
-        raise ValueError(f"missing keys {missing}")
     i = int(row["i"])
     if i != position or i > MAX_I:
         raise ValueError(f"has i={i}; rows must run contiguously from 1 to {MAX_I}")
@@ -99,27 +84,11 @@ def _parse_row(position, row):
 
 @lru_cache(maxsize=None)
 def _rows():
-    """The validated table; malformed data raises ValueError naming the file
-    and the row."""
-    path = _data_dir() / "a_forms.json"
-    with open(path) as f:
-        try:
-            raw = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(raw, list):
-        raise ValueError(f"{path}: expected a list of rows")
-    rows = {}
-    for position, row in enumerate(raw, start=1):
-        try:
-            rows[position] = _parse_row(position, row)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: row {position}: {exc}") from None
-    if len(rows) < MAX_I:
-        raise ValueError(
-            f"{path}: row {len(rows) + 1}: missing; rows must run contiguously from 1 to {MAX_I}"
-        )
-    return rows
+    """The validated table, keyed by row index; malformed data raises
+    ValueError naming the file and the row."""
+    keys = ("i", "D", "E", "F", "G", "a", "a_tilde")
+    rows = assets.load_rows("a_forms.json", keys, _parse_row, count=MAX_I)
+    return dict(enumerate(rows, start=1))
 
 
 def a_form(i):

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from nodal_atlas.chow import (
+    H_CAP,
     GradedClass,
     LinearForm,
     c_correction_p2,
@@ -80,13 +81,13 @@ def test_inverse_tangent_chern_closed_form():
     assert tangent_chern() * inverse_tangent_chern() == GradedClass.one()
 
 
-def _random_class(rng, h_cap=6):
+def _random_class(rng, max_h=6):
     terms = {}
     for _ in range(rng.randint(1, 6)):
         e_l, e_k = rng.randint(0, 2), rng.randint(0, 2)
-        e_x, e_h = rng.randint(0, 1), rng.randint(0, h_cap)
+        e_x, e_h = rng.randint(0, 1), rng.randint(0, max_h)
         terms[(e_l, e_k, e_x, e_h)] = Fraction(rng.randint(-9, 9))
-    return GradedClass(terms, h_cap)
+    return GradedClass(terms)
 
 
 def test_graded_ring_laws_random():
@@ -110,7 +111,7 @@ def test_pushforward_linearity_random():
 
 def test_pushforward_cap():
     with pytest.raises(ValueError):
-        pushforward_to_Y(GradedClass.one(h_cap=4), 5)
+        pushforward_to_Y(GradedClass.one(), H_CAP + 1)
 
 
 def test_critical_class_degree_one_part():

@@ -99,6 +99,17 @@ def test_partitions_text(capsys):
     assert lines[0] == "123  mobius=2"
 
 
+
+def test_partitions_size_is_bounded_before_any_work(capsys, monkeypatch):
+    def refuse(r):
+        raise AssertionError("enumerated partitions of an out-of-range --r")
+
+    monkeypatch.setattr(cli, "enumerate_partitions", refuse)
+    for r in ("11", "0"):
+        code, out, err = run_cli(capsys, "partitions", "--r", r)
+        assert (code, out) == (2, "")
+        assert f"1..{cli.MAX_PARTITIONS_R}" in err
+
 def test_kazarian_form(capsys):
     code, out, _ = run_cli(capsys, "kazarian", "--type", "A1*A2")
     assert code == 0
@@ -269,6 +280,45 @@ def test_bad_table_data_exits_2(tmp_path, monkeypatch, capsys, how, row):
         tables._rows.cache_clear()
 
 
+
+def _corrupt_thom_rows(rows, how):
+    if how == "missing-d":
+        del rows[0]["d"]
+    elif how == "bad-label":
+        rows[2]["labels"] = "A9"
+    elif how == "duplicate-type":
+        rows[4]["labels"] = rows[1]["labels"]
+    return rows
+
+
+@pytest.mark.parametrize("how, row", [
+    ("missing-d", 1), ("bad-label", 3), ("duplicate-type", 5),
+])
+def test_bad_thom_data_exits_2(tmp_path, monkeypatch, capsys, how, row):
+    import shutil
+    from pathlib import Path
+
+    import nodal_atlas.kazarian as kz
+    import nodal_atlas.tables as tables
+
+    src = Path(tables.__file__).parent / "data"
+    rows = json.loads((src / "kazarian.json").read_text())
+    (tmp_path / "kazarian.json").write_text(json.dumps(_corrupt_thom_rows(rows, how)))
+    shutil.copy(src / "a_forms.json", tmp_path / "a_forms.json")
+    monkeypatch.setenv("NODAL_ATLAS_DATA", str(tmp_path))
+    tables._rows.cache_clear()
+    kz._table.cache_clear()
+    try:
+        for argv in (("kazarian", "--type", "A1"), ("check",)):
+            code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "kazarian.json" in err
+            assert f"row {row}:" in err
+    finally:
+        monkeypatch.delenv("NODAL_ATLAS_DATA")
+        tables._rows.cache_clear()
+        kz._table.cache_clear()
+
 def test_zr_output_digest(capsys):
     # SHA-256 of the zr stdout for r = 1..15, each in text, json and csv, as
     # produced by the signature-power expansion (the reference in test_tables)
@@ -280,4 +330,43 @@ def test_zr_output_digest(capsys):
             digest.update(out.encode())
     assert digest.hexdigest() == (
         "98ee1695d3e9a357da42ec5fb0c430ac4a626a7531dc83a0b0b834446796e43c"
+    )
+
+
+# Every README example except `check`, run in each output format.
+README_EXAMPLES = (
+    ("count", "--degree", "4", "--nodes", "2"),
+    ("count", "--chern", "16,-12,9,3", "--nodes", "2"),
+    ("count", "--degree", "5", "--nodes", "3", "--oracle"),
+    ("zr", "--r", "2"),
+    ("qn", "--p2", "--n", "3"),
+    ("qn", "--general", "--n", "2"),
+    ("qn", "--extraction", "--n", "3"),
+    ("cn", "--n", "3"),
+    ("cn", "--n", "4"),
+    ("bell", "complete", "--n", "4"),
+    ("bell", "partial", "--n", "6", "--blocks", "3"),
+    ("partitions", "--r", "4", "--mobius"),
+    ("kazarian", "--type", "A1*A2"),
+    ("kazarian", "--type", "A1^2", "--degree", "4"),
+    ("series", "--g2", "--order", "8"),
+    ("series", "--delta", "--order", "8"),
+    ("series", "--b1", "--order", "15"),
+    ("series", "--b2", "--order", "15"),
+    ("series", "--gyz-check", "--channel", "d", "--order", "15"),
+    ("ratios",),
+)
+
+
+def test_readme_examples_output_digest(capsys):
+    # SHA-256 of the stdout of every README example (example outer, format
+    # inner), captured before the polynomial classes shared one kernel
+    digest = hashlib.sha256()
+    for argv in README_EXAMPLES:
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "07aafabd72ca9fcb9a835fbc4b549eaec708f8bc917e47bedd8b1bc6797dc305"
     )
