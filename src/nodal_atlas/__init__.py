@@ -42,7 +42,6 @@ from .partitions import (
 from .qseries import (
     PowerSeries,
     d_operator,
-    dg2_power_coeff,
     discriminant,
     eisenstein_g2,
     gyz_channel_residual,
@@ -52,7 +51,6 @@ from .qseries import (
     recover_log_b2,
     series_exp,
     series_log,
-    series_mul,
     series_pow,
 )
 from .tables import (

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 from .exact import PolyD, SparsePoly, binomial, format_rational
 
-H_CAP = 16
 Q_MAX = 8
+H_CAP = Q_MAX  # no extraction reads a power of H above Q_MAX
 
 
 class LinearForm:

@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 from . import checks
 from .bell import complete_bell, partial_bell
@@ -295,6 +296,7 @@ def _cmd_check(args):
     return EXIT_OK if ok_all else EXIT_INCONSISTENT
 
 
+@lru_cache(maxsize=1)  # a parser keeps no state between parses; build it once
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="nodal-atlas",

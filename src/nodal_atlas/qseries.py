@@ -27,11 +27,20 @@ table.  The k channel defines log B_2, so its residual vanishes by
 construction.  The s channel defines log B_1 through the combination
 F_l - G_l, so its residual equals the x-channel residual identically and
 vanishes exactly when that one does.
+
+Delta, D G_2 and its powers have integer coefficients, so they are built as
+integer tuples: Delta by Jacobi's identity, and the powers of D G_2 and the
+two logarithms once per truncation order.  Fractions enter only where a
+division happens (log, exp and the 1/l weights of the channel sums).
+Results are PowerSeries built fresh on every call, so no caller can alter a
+cached value.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import format_rational
 
@@ -120,25 +129,12 @@ class PowerSeries:
 
     __rmul__ = __mul__
 
-    def shift_down(self, k):
-        """Divide by q^k; the low-order coefficients must vanish.
-
-        The truncation order drops by k since nothing is known past it.
-        """
-        if any(self.coeffs[i] != 0 for i in range(min(k, self.order + 1))):
-            raise ValueError(f"series is not divisible by q^{k}")
-        return PowerSeries(self.coeffs[k:], self.order - k)
-
     def to_list(self):
         return [format_rational(c) for c in self.coeffs]
 
     def __repr__(self):
         shown = ", ".join(self.to_list()[: min(8, self.order + 1)])
         return f"PowerSeries([{shown}, ...] order={self.order})"
-
-
-def series_mul(a, b):
-    return a * b
 
 
 def series_pow(s, r):
@@ -159,24 +155,38 @@ def series_exp(s):
     if s[0] != 0:
         raise ValueError("series_exp requires constant term 0")
     t = s.order
+    ks = [k * c for k, c in enumerate(s.coeffs)]
     out = [Fraction(1)] + [Fraction(0)] * t
     for n in range(1, t + 1):
-        out[n] = sum(Fraction(k) * s.coeffs[k] * out[n - k] for k in range(1, n + 1)) / n
+        out[n] = sum(ks[k] * out[n - k] for k in range(1, n + 1)) / n
     return PowerSeries(out, t)
 
 
 def series_log(s):
-    """log of a series with constant term 1."""
-    if s[0] != 1:
+    """log of a series with constant term 1, given as a PowerSeries or as a
+    sequence of coefficients.
+
+    The scaled coefficients m_n = n L_n obey m_n = n u_n - sum_{0<k<n} m_k u_{n-k},
+    which divides nowhere: integer input stays integral until L_n = m_n / n.
+    """
+    u = s.coeffs if isinstance(s, PowerSeries) else s
+    if u[0] != 1:
         raise ValueError("series_log requires constant term 1")
-    t = s.order
-    out = [Fraction(0)] * (t + 1)
+    t = len(u) - 1
+    m = [0] * (t + 1)
     for n in range(1, t + 1):
-        acc = s.coeffs[n]
-        for k in range(1, n):
-            acc -= Fraction(k, n) * out[k] * s.coeffs[n - k]
-        out[n] = acc
-    return PowerSeries(out, t)
+        m[n] = n * u[n] - sum(m[k] * u[n - k] for k in range(1, n))
+    return PowerSeries([0] + [Fraction(m[n], n) for n in range(1, t + 1)], t)
+
+
+def _mul(a, b, order):
+    """Product of two integer coefficient sequences through q^order."""
+    out = [0] * (order + 1)
+    for i, x in enumerate(a[: order + 1]):
+        if x:
+            for j, y in enumerate(b[: order + 1 - i]):
+                out[i + j] += x * y
+    return tuple(out)
 
 
 def _sigma(n):
@@ -190,17 +200,27 @@ def eisenstein_g2(order=DEFAULT_ORDER):
     )
 
 
+def _delta_over_q(order):
+    """prod_{m>0} (1 - q^m)^24 through q^order, as integers.
+
+    Jacobi's identity prod (1 - q^m)^3 = sum_{n>=0} (-1)^n (2n+1) q^{n(n+1)/2}
+    makes it the eighth power of a sparse series: three squarings.
+    """
+    p = [0] * (order + 1)
+    n = 0
+    while n * (n + 1) // 2 <= order:
+        p[n * (n + 1) // 2] = (-1) ** n * (2 * n + 1)
+        n += 1
+    for _ in range(3):
+        p = _mul(p, p, order)
+    return p
+
+
 def discriminant(order=DEFAULT_ORDER):
-    """q * prod_{m>0} (1 - q^m)^24, truncated; factors with m > order cannot
-    contribute."""
+    """Delta = q * prod_{m>0} (1 - q^m)^24, truncated."""
     if order < 1:
         raise ValueError("discriminant needs order >= 1")
-    prod = PowerSeries.one(order)
-    for m in range(1, order + 1):
-        factor = PowerSeries([1] + [0] * (m - 1) + [-1], order)
-        prod = prod * series_pow(factor, 24)
-    shifted = [Fraction(0)] + prod.coeffs[:order]
-    return PowerSeries(shifted, order)
+    return PowerSeries((0,) + _delta_over_q(order - 1), order)
 
 
 def d_operator(s):
@@ -212,13 +232,29 @@ def dg2(order=DEFAULT_ORDER):
     return d_operator(eisenstein_g2(order))
 
 
-def dg2_power_coeff(r, n):
-    """Coefficient of q^n in (D G_2)^r; zero for n < r."""
-    if r < 1:
-        raise ValueError(f"dg2_power_coeff: r must be >= 1, got {r}")
-    if n < r:
-        return Fraction(0)
-    return series_pow(dg2(n), r)[n]
+@lru_cache(maxsize=TABLE_ORDER + 1)
+def _dg2_powers(order):
+    """(t, t^2, ..., t^order) for t = D G_2 = sum n sigma(n) q^n, each an
+    immutable tuple of integer coefficients through q^order."""
+    t = (0,) + tuple(n * _sigma(n) for n in range(1, order + 1))
+    powers = [t]
+    for _ in range(1, order):
+        powers.append(_mul(powers[-1], t, order))
+    return tuple(powers)
+
+
+@lru_cache(maxsize=TABLE_ORDER + 1)
+def _log_dg2_over_q(order):
+    """Coefficients of log(D G_2/q) through q^order, as a tuple."""
+    dg2_over_q = [(n + 1) * _sigma(n + 1) for n in range(order + 1)]
+    return tuple(series_log(dg2_over_q).coeffs)
+
+
+@lru_cache(maxsize=TABLE_ORDER + 1)
+def _log_disc_d2g2_over_q2(order):
+    """Coefficients of log(Delta D^2 G_2/q^2) through q^order, as a tuple."""
+    d2g2_over_q = [(n + 1) ** 2 * _sigma(n + 1) for n in range(order + 1)]
+    return tuple(series_log(_mul(_delta_over_q(order), d2g2_over_q, order)).coeffs)
 
 
 def _check_table(order, forms):
@@ -231,49 +267,39 @@ def _check_table(order, forms):
 
 
 def _channel_sum(order, coeffs):
-    """sum_{l>=1} (-1)^{l-1} coeffs[l-1] * (D G_2)^l / l through q^order."""
-    t = dg2(order)
-    acc = PowerSeries.zero(order)
-    t_pow = PowerSeries.one(order)
-    for l in range(1, order + 1):
-        t_pow = t_pow * t
-        acc = acc + t_pow * Fraction((-1) ** (l - 1) * coeffs[l - 1], l)
-    return acc
+    """sum_{l>=1} (-1)^{l-1} coeffs[l-1] (D G_2)^l / l through q^order.
 
-
-def _log_dg2_over_q(order):
-    return series_log(dg2(order + 1).shift_down(1))
-
-
-def _log_disc_d2g2_over_q2(order):
-    prod = discriminant(order + 2) * d_operator(dg2(order + 2))
-    return series_log(prod.shift_down(2))
+    The weights are scaled by lcm(1..order), so the sum stays integral until
+    one division per coefficient.
+    """
+    powers = _dg2_powers(order)
+    den = math.lcm(*range(1, order + 1))
+    weights = [(-1) ** l * coeffs[l] * (den // (l + 1)) for l in range(order)]
+    out = [0] + [
+        Fraction(sum(weights[l] * powers[l][n] for l in range(n)), den)
+        for n in range(1, order + 1)
+    ]
+    return PowerSeries(out, order)
 
 
 def recover_log_b1(order, forms):
     """log B_1 through q^order: c_n = sum_r y_r(n) (-1)^{r-1} (F_r - G_r)/r,
     with y_r(n) the q^n coefficient of (D G_2)^r."""
     _check_table(order, forms)
-    t_pows = []
-    t = dg2(order)
-    acc = PowerSeries.one(order)
-    for _ in range(order):
-        acc = acc * t
-        t_pows.append(acc)
-    out = [Fraction(0)] * (order + 1)
-    for n in range(1, order + 1):
-        out[n] = sum(
-            t_pows[r - 1][n] * Fraction((-1) ** (r - 1) * (forms[r - 1].F - forms[r - 1].G), r)
-            for r in range(1, n + 1)
-        )
-    return PowerSeries(out, order)
+    return _channel_sum(order, [f.F - f.G for f in forms])
 
 
 def recover_log_b1_direct(order, forms):
-    """Same series by direct substitution of t = D G_2 into
+    """Same series by dense substitution of t = D G_2 into
     sum_l (-1)^{l-1} (F_l - G_l) t^l / l; an independent code path."""
     _check_table(order, forms)
-    return _channel_sum(order, [f.F - f.G for f in forms])
+    t = dg2(order)
+    acc = PowerSeries.zero(order)
+    t_pow = PowerSeries.one(order)
+    for l in range(1, order + 1):
+        t_pow = t_pow * t
+        acc = acc + t_pow * Fraction((-1) ** (l - 1) * (forms[l - 1].F - forms[l - 1].G), l)
+    return acc
 
 
 def recover_b1(order, forms):
@@ -284,7 +310,8 @@ def recover_b1(order, forms):
 def recover_log_b2(order, forms):
     """log B_2 through q^order: 1/2 log(D G_2/q) plus the k-channel sum."""
     _check_table(order, forms)
-    return _channel_sum(order, [f.E for f in forms]) + _log_dg2_over_q(order) * Fraction(1, 2)
+    log_dg2 = PowerSeries(_log_dg2_over_q(order))
+    return _channel_sum(order, [f.E for f in forms]) + log_dg2 * Fraction(1, 2)
 
 
 def recover_b2(order, forms):
@@ -302,20 +329,20 @@ def gyz_channel_residual(channel, order, forms):
     _check_table(order, forms)
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
-    log_dg2 = _log_dg2_over_q(order)
+    log_dg2 = PowerSeries(_log_dg2_over_q(order))
     if channel == "d":
         return _channel_sum(order, [f.D for f in forms]) - log_dg2 * Fraction(1, 2)
     if channel == "x":
         return (
             _channel_sum(order, [f.G for f in forms])
             - log_dg2 * Fraction(1, 12)
-            + _log_disc_d2g2_over_q2(order) * Fraction(1, 24)
+            + PowerSeries(_log_disc_d2g2_over_q2(order)) * Fraction(1, 24)
         )
     if channel == "s":
         return (
             _channel_sum(order, [f.F for f in forms])
             - log_dg2 * Fraction(1, 12)
-            + _log_disc_d2g2_over_q2(order) * Fraction(1, 24)
+            + PowerSeries(_log_disc_d2g2_over_q2(order)) * Fraction(1, 24)
             - recover_log_b1(order, forms)
         )
     # k channel

@@ -370,3 +370,29 @@ def test_readme_examples_output_digest(capsys):
     assert digest.hexdigest() == (
         "07aafabd72ca9fcb9a835fbc4b549eaec708f8bc917e47bedd8b1bc6797dc305"
     )
+
+
+def _series_surface():
+    for channel in "dksx":
+        for order in range(16):
+            yield ("series", "--gyz-check", "--channel", channel, "--order", str(order))
+    for which in ("b1", "b2", "delta", "g2"):
+        for order in range(61):
+            yield ("series", f"--{which}", "--order", str(order))
+
+
+def test_series_output_digest(capsys):
+    # SHA-256 of the stdout of the whole `series` surface (argv outer, format
+    # inner): every channel residual through q^15 and every series through
+    # q^60, captured while the q-series layer still ran on dense Fraction
+    # products and the discriminant was the product formula
+    digest = hashlib.sha256()
+    for argv in _series_surface():
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert err == "" and code in (0, 3), argv
+            digest.update(f"{code}\n".encode())
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "288bc0cd7c54b991327a8d629292c4de8c42733243de38c10b25b7d2cecdf40b"
+    )

@@ -1,15 +1,16 @@
+import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from nodal_atlas import qseries
 from nodal_atlas.qseries import (
     TABLE_ORDER,
     PowerSeries,
     d_operator,
     dg2,
-    dg2_power_coeff,
     discriminant,
     eisenstein_g2,
     gyz_channel_residual,
@@ -20,7 +21,6 @@ from nodal_atlas.qseries import (
     recover_log_b2,
     series_exp,
     series_log,
-    series_mul,
     series_pow,
 )
 from nodal_atlas.tables import all_forms
@@ -43,6 +43,20 @@ def test_discriminant_coefficients():
     d = discriminant(17)
     assert d[0] == 0
     assert d.coeffs[1:] == [Fraction(t) for t in TAU]
+
+
+def test_discriminant_matches_product_formula():
+    # Jacobi's identity against the definition q prod (1 - q^m)^24, expanded
+    # one factor (1 - q^m) at a time
+    prod = [1] + [0] * 59
+    for m in range(1, 60):
+        for _ in range(24):
+            for n in range(59, m - 1, -1):
+                prod[n] -= prod[n - m]
+    for order in range(1, 61):
+        delta = discriminant(order)
+        assert delta.order == order
+        assert delta.coeffs == [0] + prod[:order]
 
 
 def test_d_operator_is_derivation():
@@ -74,26 +88,19 @@ def test_exp_log_preconditions():
 
 def test_series_mul_and_pow():
     a = PowerSeries([1, 1], 5)
-    assert series_pow(a, 5) == series_mul(series_pow(a, 4), a)
+    assert series_pow(a, 5) == series_pow(a, 4) * a
     assert series_pow(a, 5).coeffs == [Fraction(math.comb(5, k)) for k in range(6)]
     with pytest.raises(ValueError):
         series_pow(a, -1)
 
 
-def test_shift_down():
-    s = PowerSeries([0, 0, 1, 2], 3)
-    t = s.shift_down(2)
-    assert t.coeffs == [Fraction(1), Fraction(2)]
-    assert t.order == 1
-    with pytest.raises(ValueError):
-        PowerSeries([0, 1], 1).shift_down(2)
-
-
 def test_dg2_power_coeff_vs_convolution():
+    # the cached integer powers of D G_2 and the dense series powers both
+    # against a brute-force r-fold convolution of the coefficient list
     t = [Fraction(0)] + [Fraction(n * s) for n, s in enumerate(SIGMA[:10], start=1)]
+    powers = qseries._dg2_powers(10)
     for r in range(1, 6):
         for n in range(r, 11):
-            # brute-force r-fold convolution of the coefficient list
             acc = {0: Fraction(1)}
             for _ in range(r):
                 nxt = {}
@@ -101,10 +108,11 @@ def test_dg2_power_coeff_vs_convolution():
                     for m in range(1, 11 - deg):
                         nxt[deg + m] = nxt.get(deg + m, Fraction(0)) + c * t[m]
                 acc = nxt
-            assert dg2_power_coeff(r, n) == acc.get(n, Fraction(0))
-    assert dg2_power_coeff(3, 2) == 0
-    with pytest.raises(ValueError):
-        dg2_power_coeff(0, 1)
+            want = acc.get(n, Fraction(0))
+            assert powers[r - 1][n] == want
+            assert series_pow(dg2(n), r)[n] == want
+    assert powers[2][2] == 0
+    assert series_pow(dg2(2), 3)[2] == 0
 
 
 def test_dg2_low_coefficients():
@@ -174,3 +182,47 @@ def test_b_series_are_integral_so_far():
 def test_power_series_equality_truncates():
     assert PowerSeries([1, 2, 3], 2) == PowerSeries([1, 2], 1)
     assert PowerSeries([1, 2], 1) != PowerSeries([1, 3], 1)
+
+
+B1_15 = [1, -1, -5, 39, -345, 2961, -24866, 207759, -1737670, 14584625, -122937305,
+         1040906771, -8852158628, 75598131215, -648168748072, 5577807139921]
+B2_15 = [1, 5, 2, 35, -140, 986, -6643, 48248, -362700, 2802510, -22098991,
+         177116726, -1438544962, 11814206036, -97940651274, 818498739637]
+
+
+def test_hot_paths_multiply_no_series(monkeypatch):
+    # the residuals, the recoveries and the discriminant run on integer
+    # coefficient lists; a series x series product on any of them raises,
+    # while scaling by a scalar stays allowed
+    original = PowerSeries.__mul__
+
+    def scalar_only(self, other):
+        if isinstance(other, PowerSeries):
+            raise AssertionError("series x series product on a hot path")
+        return original(self, other)
+
+    monkeypatch.setattr(PowerSeries, "__mul__", scalar_only)
+    monkeypatch.setattr(PowerSeries, "__rmul__", scalar_only)
+    for obj in vars(qseries).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+    with pytest.raises(AssertionError):
+        recover_log_b1_direct(3, all_forms())
+    forms = all_forms()
+    defect = ["0"] * 15 + ["992/3"]
+    for _ in range(2):  # cold, then from the caches
+        for channel, want in (("d", ["0"] * 16), ("k", ["0"] * 16), ("s", defect), ("x", defect)):
+            res = gyz_channel_residual(channel, 15, forms)
+            assert (res.order, res.to_list()) == (15, want)
+            res.coeffs[15] = Fraction(7)  # must not reach the next call
+        b1, b2 = recover_b1(15, forms), recover_b2(15, forms)
+        assert (b1.coeffs, b2.coeffs) == (B1_15, B2_15)
+        b1.coeffs[1] = b2.coeffs[1] = Fraction(7)
+        log_b2 = recover_log_b2(15, forms)
+        assert log_b2[1] == 5
+        log_b2.coeffs[1] = Fraction(7)
+    delta = discriminant(60)
+    assert delta.order == 60
+    assert hashlib.sha256(",".join(delta.to_list()).encode()).hexdigest() == (
+        "c3b81785485b0302ec3abc70eddb9539c43d941cbd31ed829c8f02fc73d3234d"
+    )
