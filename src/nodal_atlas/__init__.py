@@ -14,7 +14,6 @@ from .chow import (
     c_correction_p2,
     chern_principal_parts,
     critical_class,
-    equivalence_polydiagonal,
     excess_a1a2_p2,
     inverse_tangent_chern,
     m_poly_p2,
@@ -25,18 +24,16 @@ from .chow import (
     q_p2_extraction,
 )
 from .bell import (
-    bell_transform,
     complete_bell,
     eval_complete_bell,
     partial_bell,
 )
-from .exact import PolyD, SparsePoly, binomial, factorial, interpolate_quadratic
+from .exact import PolyD, SparsePoly, binomial
 from .kazarian import MultisingularityType, aut_order, count_multisingular, s_alpha
 from .partitions import (
     SetPartition,
     enumerate_partitions,
     mobius_coefficient,
-    refines,
     signature_count,
 )
 from .qseries import (
@@ -51,7 +48,6 @@ from .qseries import (
     recover_log_b2,
     series_exp,
     series_log,
-    series_pow,
 )
 from .tables import (
     ChernNumbers,

@@ -10,7 +10,6 @@ is the oracle in `checks`, and the tests compare the two routes.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 from .exact import SparsePoly
@@ -71,16 +70,3 @@ def eval_complete_bell(r, values):
             sum(math.comb(n - 1, k - 1) * values[k - 1] * y[n - k] for k in range(1, n + 1))
         )
     return y[r]
-
-
-def bell_transform(log_coeffs):
-    """Coefficients b_0..b_n of exp(sum_l c_l q^l) from c_1..c_n.
-
-    b_0 = 1 and b_r = P_r(1! c_1, ..., r! c_r)/r!.
-    """
-    c = [Fraction(x) for x in log_coeffs]
-    out = [Fraction(1)]
-    for r in range(1, len(c) + 1):
-        scaled = [math.factorial(l) * c[l - 1] for l in range(1, r + 1)]
-        out.append(eval_complete_bell(r, scaled) / math.factorial(r))
-    return out

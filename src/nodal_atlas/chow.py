@@ -296,15 +296,6 @@ def multiple_point_degree(r, d):
     return value.numerator
 
 
-def equivalence_polydiagonal(pi, chern):
-    """Product of small-diagonal equivalences over the blocks of a partition,
-    evaluated at the given Chern numbers."""
-    value = Fraction(1)
-    for size, count in pi.signature().items():
-        value *= q_general(size).evaluate(chern) ** count
-    return value
-
-
 def excess_a1a2_p2():
     """Excess contribution of the cuspidal diagonal to the node-plus-cusp
     product on P^2: coefficient of l^2 H^3 in

@@ -221,17 +221,19 @@ def _cmd_series(args):
     order = args.order
     if not 0 <= order <= MAX_SERIES_ORDER:
         raise ValueError(f"--order must be in 0..{MAX_SERIES_ORDER}, got {order}")
+    # the series read from the coefficient table stop where the table does
+    table_order = min(order, TABLE_ORDER)
     if args.gyz_check:
         if args.channel is None:
             raise ValueError("--gyz-check needs --channel (one of d, k, s, x)")
-        residual = gyz_channel_residual(args.channel, order, all_forms())
+        residual = gyz_channel_residual(args.channel, table_order, all_forms())
         ok = residual.is_zero()
         text = ["residual: 0"] if ok else [f"residual: {residual.to_list()}"]
         payload = {
             "command": "series",
             "series": "gyz-residual",
             "channel": args.channel,
-            "order": order,
+            "order": table_order,
             "zero": ok,
             "coefficients": residual.to_list(),
         }
@@ -243,9 +245,9 @@ def _cmd_series(args):
     elif args.which == "delta":
         series, name = discriminant(max(order, 1)), "delta"
     elif args.which == "b1":
-        series, name = recover_b1(min(order, TABLE_ORDER), all_forms()), "b1"
+        series, name = recover_b1(table_order, all_forms()), "b1"
     else:
-        series, name = recover_b2(min(order, TABLE_ORDER), all_forms()), "b2"
+        series, name = recover_b2(table_order, all_forms()), "b2"
     payload = _series_payload(name, series)
     rows = [["n", "coefficient"]] + [[n, c] for n, c in enumerate(series.to_list())]
     _emit(args, [", ".join(series.to_list())], payload, rows)

@@ -1,7 +1,6 @@
-"""Exact arithmetic primitives: binomials, factorials, univariate
-polynomials in a formal degree parameter d, and the sparse multivariate
-polynomial kernel that the Bell polynomials and the truncated intersection
-rings share.
+"""Exact arithmetic primitives: binomials, univariate polynomials in a
+formal degree parameter d, and the sparse multivariate polynomial kernel
+that the Bell polynomials and the truncated intersection rings share.
 
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  Nothing
@@ -25,12 +24,6 @@ def binomial(n, k):
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
-
-
-def factorial(n):
-    if n < 0:
-        raise ValueError(f"factorial: n must be >= 0, got {n}")
-    return math.factorial(n)
 
 
 def _as_fraction(x):
@@ -206,15 +199,6 @@ class SparsePoly:
             return other
         return None
 
-    @classmethod
-    def variable(cls, arity, index):
-        """x_index (1-based) as a polynomial."""
-        return cls(arity, {tuple(int(i == index - 1) for i in range(arity)): 1})
-
-    @classmethod
-    def constant(cls, arity, c):
-        return cls(arity, {(0,) * arity: c})
-
     def __eq__(self, other):
         return (
             type(other) is type(self)
@@ -284,9 +268,6 @@ class SparsePoly:
                 base = base * base
         return result
 
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=-1)
-
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), 0)
 
@@ -340,30 +321,3 @@ def format_rational(x):
     if x.denominator == 1:
         return str(x.numerator)
     return f"{x.numerator}/{x.denominator}"
-
-
-def parse_rational(s):
-    return Fraction(s)
-
-
-def interpolate_quadratic(points):
-    """The unique polynomial of degree <= 2 through three points (d_i, v_i).
-
-    Lagrange interpolation over exact rationals; the abscissae must be
-    pairwise distinct.
-    """
-    pts = [(_as_fraction(a), _as_fraction(v)) for a, v in points]
-    if len(pts) != 3:
-        raise ValueError("interpolate_quadratic needs exactly three points")
-    xs = [a for a, _ in pts]
-    if len(set(xs)) != 3:
-        raise ValueError(f"duplicate abscissae in {xs}")
-    result = PolyD()
-    for i, (xi, vi) in enumerate(pts):
-        basis = PolyD([1])
-        for j, (xj, _) in enumerate(pts):
-            if i == j:
-                continue
-            basis = basis * PolyD([-xj, 1]) * Fraction(1, 1) * Fraction(1, (xi - xj))
-        result = result + basis * vi
-    return result

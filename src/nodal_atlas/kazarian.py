@@ -16,6 +16,8 @@ from .partitions import enumerate_partitions
 CODIM = {"A1": 1, "A2": 2, "A3": 3, "A4": 4, "D4": 4}
 
 _LABEL_RE = re.compile(r"^(A[1-4]|D4)(?:\^(\d+))?$")
+# Every label has codimension >= 1 and the table stops at codimension 4.
+MAX_CODIM = 4
 
 
 class MultisingularityType:
@@ -40,7 +42,13 @@ class MultisingularityType:
             m = _LABEL_RE.match(token.strip())
             if not m:
                 raise ValueError(f"cannot parse multisingularity token {token!r}")
-            labels.extend([m.group(1)] * int(m.group(2) or 1))
+            power = int(m.group(2) or 1)
+            if power > MAX_CODIM:
+                raise ValueError(
+                    f"exponent {power} in {token.strip()!r} exceeds {MAX_CODIM}, the "
+                    f"largest codimension in the table"
+                )
+            labels.extend([m.group(1)] * power)
         return cls(labels)
 
     def __eq__(self, other):
@@ -119,9 +127,11 @@ def count_multisingular(alpha, chern):
     """
     if isinstance(alpha, str):
         alpha = MultisingularityType.parse(alpha)
-    r = len(alpha)
-    total = Fraction(0)
-    for pi in enumerate_partitions(r):
+    # the one-block term, looked up first so that a type outside the table
+    # fails before any enumeration
+    total = Fraction(s_alpha(alpha).evaluate(chern))
+    # the restricted-growth order puts the one-block partition first
+    for pi in enumerate_partitions(len(alpha))[1:]:
         prod = Fraction(1)
         for block in pi.blocks:
             sub = alpha.sub_type([i - 1 for i in block])

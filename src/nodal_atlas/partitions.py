@@ -8,7 +8,6 @@ equality and iteration order is deterministic.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 # Largest ground set enumerated: B_12 = 4,213,597 partitions.
 MAX_R = 12
@@ -44,32 +43,11 @@ class SetPartition:
     def __repr__(self):
         return f"SetPartition({format_partition(self)!r})"
 
-    def block_sizes(self):
-        return sorted(len(b) for b in self.blocks)
-
-    def signature(self):
-        """Counts of blocks by size: a dict {size: count}."""
-        sig = {}
-        for b in self.blocks:
-            sig[len(b)] = sig.get(len(b), 0) + 1
-        return sig
-
 
 def format_partition(pi):
     """Text form '12|345'; elements are comma-separated when r > 9."""
     sep = "" if pi.r <= 9 else ","
     return "|".join(sep.join(str(e) for e in b) for b in pi.blocks)
-
-
-def parse_partition(text, r=None):
-    blocks = []
-    for chunk in text.split("|"):
-        chunk = chunk.strip()
-        if "," in chunk:
-            blocks.append([int(e) for e in chunk.split(",")])
-        else:
-            blocks.append([int(ch) for ch in chunk])
-    return SetPartition(blocks, r=r)
 
 
 def enumerate_partitions(r):
@@ -99,16 +77,6 @@ def enumerate_partitions(r):
     return result
 
 
-def bell_number(r):
-    cache = [1]
-    for _ in range(r):
-        row = [cache[-1]]
-        for prev in cache:
-            row.append(row[-1] + prev)
-        cache = row
-    return cache[0]
-
-
 def mobius_coefficient(pi):
     """Moebius coefficient of the interval from the all-singletons partition.
 
@@ -119,11 +87,6 @@ def mobius_coefficient(pi):
         i = len(b)
         n *= (-1) ** (i - 1) * math.factorial(i - 1)
     return n
-
-
-def mobius_top(n):
-    """Moebius coefficient of the single-block partition of an n-set."""
-    return (-1) ** (n - 1) * math.factorial(n - 1)
 
 
 def signature_count(r, sig):
@@ -160,45 +123,3 @@ def integer_partition_signatures(r):
 
     descend(r, r, {})
     return out
-
-
-def refines(finer, coarser, strict=False):
-    """True iff every block of `finer` is contained in a block of `coarser`."""
-    if finer.r != coarser.r:
-        raise ValueError(f"ground sets differ: {finer.r} vs {coarser.r}")
-    owner = {}
-    for i, b in enumerate(coarser.blocks):
-        for e in b:
-            owner[e] = i
-    for b in finer.blocks:
-        target = owner[b[0]]
-        if any(owner[e] != target for e in b[1:]):
-            return False
-    if strict and finer == coarser:
-        return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _mobius_by_recursion(r):
-    """Moebius coefficients computed by the defining recursion, keyed by partition.
-
-    n at the bottom is 1 and n(pi) = -sum of n over strict refinements of pi.
-    Quadratic in the Bell number, so only usable for small r; serves as an
-    independent oracle for the closed product formula.
-    """
-    parts = enumerate_partitions(r)
-    by_nblocks = sorted(parts, key=len, reverse=True)
-    values = {}
-    for pi in by_nblocks:
-        if len(pi) == r:
-            values[pi] = 1
-            continue
-        values[pi] = -sum(
-            values[q] for q in parts if len(q) > len(pi) and refines(q, pi)
-        )
-    return values
-
-
-def mobius_by_recursion(pi):
-    return _mobius_by_recursion(pi.r)[pi]

@@ -137,19 +137,6 @@ class PowerSeries:
         return f"PowerSeries([{shown}, ...] order={self.order})"
 
 
-def series_pow(s, r):
-    if not isinstance(r, int) or r < 0:
-        raise ValueError(f"series_pow: exponent must be a non-negative integer, got {r}")
-    result = PowerSeries.one(s.order)
-    base = s
-    while r:
-        if r & 1:
-            result = result * base
-        base = base * base
-        r >>= 1
-    return result
-
-
 def series_exp(s):
     """exp of a series with zero constant term, by the standard recurrence."""
     if s[0] != 0:

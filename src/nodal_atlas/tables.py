@@ -79,7 +79,7 @@ def _parse_row(position, row):
     want = (sf * form.D, sf * form.E, sf * form.F, sf * form.G)
     if a != want:
         raise ValueError(f"a = {list(a)} but (-1)^(i-1) (i-1)! (D, E, F, G) = {list(want)}")
-    return {"form": form, "a": a, "a_tilde": tuple(int(c) for c in row["a_tilde"])}
+    return {"form": form, "a_tilde": tuple(int(c) for c in row["a_tilde"])}
 
 
 @lru_cache(maxsize=None)
@@ -101,11 +101,6 @@ def a_form(i):
 
 def all_forms():
     return [a_form(i) for i in range(1, MAX_I + 1)]
-
-
-def a_raw(i):
-    """The published coefficients of a_i, as stored."""
-    return _rows()[i]["a"]
 
 
 def a_tilde_raw(i):

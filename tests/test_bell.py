@@ -1,17 +1,22 @@
+import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from nodal_atlas.bell import (
     SparsePoly,
-    bell_transform,
     complete_bell,
     eval_complete_bell,
     partial_bell,
 )
 from nodal_atlas.checks import complete_bell_by_signatures
-from nodal_atlas.partitions import bell_number, enumerate_partitions
+from nodal_atlas.partitions import enumerate_partitions
+
+# Bell numbers B_0..B_15
+BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597,
+        27644437, 190899322, 1382958545]
 
 
 def _poly(arity, terms):
@@ -59,7 +64,7 @@ def test_coefficients_count_set_partitions():
     for r in range(1, 9):
         counted = {}
         for pi in enumerate_partitions(r):
-            sig = pi.signature()
+            sig = Counter(len(b) for b in pi.blocks)
             expo = tuple(sig.get(i, 0) for i in range(1, r + 1))
             counted[expo] = counted.get(expo, 0) + 1
         assert {e: int(c) for e, c in complete_bell(r).terms.items()} == counted
@@ -67,7 +72,7 @@ def test_coefficients_count_set_partitions():
 
 def test_all_ones_gives_bell_numbers():
     for r in range(1, 16):
-        assert eval_complete_bell(r, [1] * r) == bell_number(r)
+        assert eval_complete_bell(r, [1] * r) == BELL[r]
 
 
 def test_dual_path_evaluation_random():
@@ -90,13 +95,15 @@ def test_eval_r_zero():
 
 
 def test_bell_transform_is_exp():
-    # b_r built from log coefficients must match the series exponential
+    # b_r = Y_r(1! c_1, ..., r! c_r)/r! built from the log coefficients c_l
+    # must match the series exponential
     from nodal_atlas.qseries import PowerSeries, series_exp
 
     rng = random.Random(5)
     for _ in range(30):
         n = rng.randint(1, 10)
         log_coeffs = [Fraction(rng.randint(-20, 20), rng.randint(1, 7)) for _ in range(n)]
-        out = bell_transform(log_coeffs)
+        scaled = [math.factorial(l) * c for l, c in enumerate(log_coeffs, start=1)]
+        out = [Fraction(eval_complete_bell(r, scaled), math.factorial(r)) for r in range(n + 1)]
         series = series_exp(PowerSeries([0] + log_coeffs, n))
         assert out == series.coeffs

@@ -127,6 +127,24 @@ def test_kazarian_bad_type(capsys):
     assert code == 2
 
 
+def test_kazarian_type_is_bounded_before_any_work(capsys, monkeypatch):
+    import nodal_atlas.kazarian as kz
+
+    def refuse(r):
+        raise AssertionError("enumerated the partitions of a type outside the table")
+
+    monkeypatch.setattr(kz, "enumerate_partitions", refuse)
+    code, out, err = run_cli(capsys, "kazarian", "--type", "A1^11", "--degree", "4")
+    assert (code, out) == (2, "")
+    assert err == "error: exponent 11 in 'A1^11' exceeds 4, the largest codimension in the table\n"
+    # a type that parses but is not tabulated fails the count as it fails the form
+    form = run_cli(capsys, "kazarian", "--type", "A1^4*A2^4")
+    count = run_cli(capsys, "kazarian", "--type", "A1^4*A2^4", "--degree", "4")
+    assert count == form
+    assert form[:2] == (2, "")
+    assert "A1^4*A2^4 is not in the table (codimension 12)" in form[2]
+
+
 def test_series_g2_default(capsys):
     code, out, _ = run_cli(capsys, "series", "--g2", "--order", "4")
     assert code == 0
@@ -155,6 +173,15 @@ def test_series_gyz_check_x_order_14(capsys):
                            "--order", "14")
     assert code == 0
     assert out.strip() == "residual: 0"
+
+
+def test_series_gyz_check_stops_at_the_table(capsys):
+    # like --b1 and --b2, the residual stops at the last table row
+    for channel in ("d", "x"):
+        for fmt in ("text", "json"):
+            argv = ("series", "--gyz-check", "--channel", channel, "--format", fmt)
+            code, out, _ = run_cli(capsys, *argv, "--order", "60")
+            assert (code, out) == run_cli(capsys, *argv, "--order", "15")[:2]
 
 
 def test_series_gyz_check_needs_channel(capsys):

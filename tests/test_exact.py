@@ -3,14 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nodal_atlas.exact import (
-    PolyD,
-    binomial,
-    factorial,
-    format_rational,
-    interpolate_quadratic,
-    parse_rational,
-)
+from nodal_atlas.exact import PolyD, binomial, format_rational
 
 
 def test_binomial_row_sums():
@@ -29,13 +22,6 @@ def test_binomial_negative_n_raises():
         binomial(-1, 0)
 
 
-def test_factorial():
-    assert factorial(0) == 1
-    assert factorial(14) == 87178291200
-    with pytest.raises(ValueError):
-        factorial(-2)
-
-
 def test_random_rational_addition_cross_check():
     rng = random.Random(20240817)
     for _ in range(1000):
@@ -49,7 +35,6 @@ def test_random_rational_addition_cross_check():
 def test_format_rational():
     assert format_rational(Fraction(6, 3)) == "2"
     assert format_rational(Fraction(-7, 2)) == "-7/2"
-    assert parse_rational("-7/2") == Fraction(-7, 2)
 
 
 def test_polyd_str():
@@ -75,17 +60,3 @@ def test_polyd_trailing_zeros_normalized():
     assert PolyD([0, 0]).degree == -1
     assert not PolyD([0])
 
-
-def test_interpolate_quadratic_round_trip():
-    rng = random.Random(7)
-    for _ in range(50):
-        p = PolyD([rng.randint(-99, 99) for _ in range(3)])
-        pts = [(x, p(x)) for x in (1, 4, 9)]
-        assert interpolate_quadratic(pts) == p
-
-
-def test_interpolate_quadratic_rejects_duplicates():
-    with pytest.raises(ValueError):
-        interpolate_quadratic([(1, 1), (1, 2), (3, 4)])
-    with pytest.raises(ValueError):
-        interpolate_quadratic([(1, 1), (2, 2)])

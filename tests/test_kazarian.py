@@ -35,6 +35,13 @@ def test_parse_rejects_garbage():
         MultisingularityType.parse("A1^")
 
 
+def test_parse_bounds_the_exponent_before_expanding():
+    assert len(MultisingularityType.parse("A1^4")) == 4
+    for text in ("A1^5", "A1^13", "A2*A1^" + "9" * 40):
+        with pytest.raises(ValueError, match="exceeds 4"):
+            MultisingularityType.parse(text)
+
+
 def test_aut_order():
     assert aut_order(MultisingularityType.parse("A1*A2")) == 1
     assert aut_order(MultisingularityType.parse("A1^2")) == 2

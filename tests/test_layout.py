@@ -1,0 +1,75 @@
+"""The package keeps only what production code calls.
+
+A public top-level function or class in ``src/nodal_atlas`` must be used by
+name somewhere else in the package or in the benchmark; a test is not
+enough (oracles live in ``checks.py`` and ``tests/``).  No module may import
+a name it never uses.  Both checks parse the source with ``ast``.
+"""
+
+import ast
+from functools import lru_cache
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "nodal_atlas"
+MODULES = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+BENCHMARKS = sorted((ROOT / "benchmarks").glob("*.py"))
+
+
+@lru_cache(maxsize=None)
+def _scan(path):
+    """(top-level statements with the names each one uses, imported names).
+
+    A name is used when it is read as a variable or as an attribute, except
+    an attribute of a plain `import`ed module such as `math.factorial`.
+    Imports are (line, bound name) pairs, `from __future__` left out.
+    """
+    tree = ast.parse(path.read_text(), filename=str(path))
+    foreign = {
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree) if isinstance(node, ast.Import)
+        for alias in node.names
+    }
+    statements, imports = [], []
+    for stmt in tree.body:
+        names = set()
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                base = node.value
+                if not (isinstance(base, ast.Name) and base.id in foreign):
+                    names.add(node.attr)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                    continue
+                imports += [(node.lineno, (a.asname or a.name).split(".")[0])
+                            for a in node.names]
+        statements.append((stmt, names))
+    return statements, imports
+
+
+def test_every_public_definition_has_a_production_caller():
+    defined = {}  # name -> file defining it
+    used = set()
+    for path in MODULES + BENCHMARKS:
+        for stmt, names in _scan(path)[0]:
+            if (
+                path in MODULES
+                and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+                and not stmt.name.startswith("_")
+            ):
+                defined[stmt.name] = path.name
+                names = names - {stmt.name}  # recursion is not a caller
+            used |= names
+    dead = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    assert not dead, f"public definitions that no production code uses: {dead}"
+
+
+def test_no_unused_imports():
+    unused = []
+    for path in MODULES:
+        statements, imports = _scan(path)
+        used = set().union(*(names for _, names in statements))
+        unused += [f"{path.name}:{line}:{name}" for line, name in imports if name not in used]
+    assert not unused, f"imported names never used: {unused}"

@@ -1,9 +1,11 @@
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from nodal_atlas import assets
 from nodal_atlas.bell import SparsePoly
 from nodal_atlas.checks import node_count_by_signatures
 from nodal_atlas.chow import multiple_point_degree
@@ -17,7 +19,6 @@ from nodal_atlas.tables import (
     UNDEFINED_RATIO,
     a_decomposition_check,
     a_form,
-    a_raw,
     a_tilde_raw,
     all_forms,
     node_count,
@@ -70,8 +71,9 @@ def _geometric_surfaces():
 
 
 def test_first_eight_rows():
+    stored = json.loads((assets.data_dir() / "a_forms.json").read_text())
     for i, row in FIRST_EIGHT_ROWS.items():
-        assert a_raw(i) == row
+        assert tuple(int(c) for c in stored[i - 1]["a"]) == row
         form = a_form(i)
         sf = form.sign_factorial()
         assert (sf * form.D, sf * form.E, sf * form.F, sf * form.G) == row
@@ -171,7 +173,7 @@ def test_node_polynomial_matches_node_count():
     rng = random.Random(77)
     for r in range(1, MAX_I + 1):
         poly = node_polynomial(r)
-        assert poly.total_degree() == r
+        assert max(sum(e) for e in poly.terms) == r
         for chern in rng.sample(surfaces, 6):
             value = poly.evaluate([chern.d, chern.k, chern.s, chern.x])
             assert value == node_count(r, chern)
@@ -197,7 +199,7 @@ def _node_polynomial_by_signature_powers(r):
         )
     acc = SparsePoly(4)
     for sig in integer_partition_signatures(r):
-        term = SparsePoly.constant(4, signature_count(r, sig))
+        term = SparsePoly(4, {(0, 0, 0, 0): signature_count(r, sig)})
         for size, count in sig.items():
             term = term * gens[size - 1] ** count
         acc = acc + term
