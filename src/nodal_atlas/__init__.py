@@ -33,6 +33,7 @@ from .kazarian import MultisingularityType, aut_order, count_multisingular, s_al
 from .partitions import (
     SetPartition,
     enumerate_partitions,
+    iter_partitions,
     mobius_coefficient,
     signature_count,
 )

@@ -18,7 +18,7 @@ from .bell import complete_bell, partial_bell
 from .chow import c_correction_p2, q_general, q_p2_closed, q_p2_extraction
 from .exact import format_rational
 from .kazarian import MultisingularityType, count_multisingular, s_alpha
-from .partitions import enumerate_partitions, format_partition, mobius_coefficient
+from .partitions import format_partition, iter_partitions, mobius_coefficient
 from .qseries import (
     TABLE_ORDER,
     discriminant,
@@ -43,8 +43,9 @@ EXIT_INCONSISTENT = 3
 # Largest `series --order`; at this order the slowest series (--delta) takes
 # well under a second from a cold start.
 MAX_SERIES_ORDER = 60
-# Largest `partitions --r`: B_10 = 115975 lines; B_12 would be about 4.2M
-# partitions held in memory at once.
+# Largest `partitions --r`: B_10 = 115975 lines.  Text output streams one
+# partition at a time, but json and csv hold every record, and B_12 would be
+# about 4.2M of them.
 MAX_PARTITIONS_R = 10
 # Largest node count `count --oracle` also checks by enumerating every set
 # partition (B_9 = 21147 of them); the signature-sum oracle covers every r.
@@ -59,7 +60,15 @@ def _parse_chern(text):
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 4:
         raise ValueError(f"--chern wants four comma-separated integers, got {text!r}")
-    return ChernNumbers(*(int(p) for p in parts))
+    d, k, s, x = (int(p) for p in parts)
+    if (d + k) % 2:
+        raise ValueError(f"--chern {text}: adjunction needs L^2 + L.K = d + k even, got {d + k}")
+    if (s + x) % 12:
+        raise ValueError(
+            f"--chern {text}: Noether's formula needs K^2 + c_2 = s + x divisible by 12, "
+            f"got {s + x}"
+        )
+    return ChernNumbers(d, k, s, x)
 
 
 def _surface(args):
@@ -178,18 +187,25 @@ def _cmd_bell(args):
 def _cmd_partitions(args):
     if not 1 <= args.r <= MAX_PARTITIONS_R:
         raise ValueError(f"--r must be in 1..{MAX_PARTITIONS_R}, got {args.r}")
-    parts = enumerate_partitions(args.r)
-    lines = []
-    records = []
-    rows = [["partition", "blocks", "mobius"]]
-    for pi in parts:
-        text = format_partition(pi)
-        mob = mobius_coefficient(pi)
-        records.append({"partition": text, "blocks": len(pi), "mobius": str(mob)})
-        rows.append([text, len(pi), mob])
-        lines.append(f"{text}  mobius={mob}" if args.mobius else text)
-    payload = {"command": "partitions", "r": args.r, "count": len(parts), "partitions": records}
-    _emit(args, lines, payload, rows)
+    parts = iter_partitions(args.r)
+    if args.format == "text":
+        if args.mobius:
+            lines = (f"{format_partition(pi)}  mobius={mobius_coefficient(pi)}" for pi in parts)
+        else:
+            lines = map(format_partition, parts)
+        _emit(args, lines, None)
+    elif args.format == "json":
+        records = [
+            {"partition": format_partition(pi), "blocks": len(pi),
+             "mobius": str(mobius_coefficient(pi))}
+            for pi in parts
+        ]
+        payload = {"command": "partitions", "r": args.r, "count": len(records),
+                   "partitions": records}
+        _emit(args, [], payload)
+    else:
+        rows = [[format_partition(pi), len(pi), mobius_coefficient(pi)] for pi in parts]
+        _emit(args, [], None, [["partition", "blocks", "mobius"]] + rows)
     return EXIT_OK
 
 
@@ -243,7 +259,7 @@ def _cmd_series(args):
     if args.which == "g2":
         series, name = eisenstein_g2(order), "g2"
     elif args.which == "delta":
-        series, name = discriminant(max(order, 1)), "delta"
+        series, name = discriminant(order), "delta"
     elif args.which == "b1":
         series, name = recover_b1(table_order, all_forms()), "b1"
     else:

@@ -8,10 +8,11 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 
 from . import assets
 from .chow import LinearForm
-from .partitions import enumerate_partitions
+from .partitions import iter_partitions
 
 CODIM = {"A1": 1, "A2": 2, "A3": 3, "A4": 4, "D4": 4}
 
@@ -131,7 +132,7 @@ def count_multisingular(alpha, chern):
     # fails before any enumeration
     total = Fraction(s_alpha(alpha).evaluate(chern))
     # the restricted-growth order puts the one-block partition first
-    for pi in enumerate_partitions(len(alpha))[1:]:
+    for pi in islice(iter_partitions(len(alpha)), 1, None):
         prod = Fraction(1)
         for block in pi.blocks:
             sub = alpha.sub_type([i - 1 for i in block])

@@ -50,31 +50,50 @@ def format_partition(pi):
     return "|".join(sep.join(str(e) for e in b) for b in pi.blocks)
 
 
-def enumerate_partitions(r):
-    """All set partitions of {1,...,r}, canonically ordered, each exactly once.
+def _trusted(blocks, r):
+    """A SetPartition from blocks already in canonical form, unchecked."""
+    pi = object.__new__(SetPartition)
+    pi.blocks = blocks
+    pi.r = r
+    return pi
 
-    Enumeration is by restricted-growth strings: element i goes into block
-    a_i with a_i <= 1 + max(a_1..a_{i-1}).  This yields every partition in
-    canonical form with no duplicates.
+
+def iter_partitions(r):
+    """Every set partition of {1,...,r}, canonical, each exactly once, lazily.
+
+    The order is that of restricted-growth strings (Knuth, TAOCP 4A
+    7.2.1.5): element e goes into block a_e <= 1 + max(a_1..a_{e-1}), and
+    the strings come in lexicographic order, so the one-block partition is
+    first and the all-singletons partition last.  The walk keeps an explicit
+    stack of prefixes.  Adding e, the largest element so far, to block j of a
+    prefix, or opening the block (e,), keeps every block sorted and the blocks
+    ordered by least element; untouched block tuples are shared with the
+    prefix.
     """
     if not 1 <= r <= MAX_R:
-        raise ValueError(f"enumerate_partitions: r must be in 1..{MAX_R}, got {r}")
-    result = []
-    assignment = [0] * r
+        raise ValueError(f"iter_partitions: r must be in 1..{MAX_R}, got {r}")
+    return _walk(r)
 
-    def grow(i, nblocks):
-        if i == r:
-            blocks = [[] for _ in range(nblocks)]
-            for elem, b in enumerate(assignment, start=1):
-                blocks[b].append(elem)
-            result.append(SetPartition(blocks, r=r))
-            return
-        for b in range(nblocks + 1):
-            assignment[i] = b
-            grow(i + 1, max(nblocks, b + 1))
 
-    grow(0, 0)
-    return result
+def _walk(r):
+    stack = [(1, ())]  # (next element, blocks of the prefix 1..next-1)
+    while stack:
+        e, blocks = stack.pop()
+        n = len(blocks)
+        if e == r:
+            for j in range(n):
+                yield _trusted(blocks[:j] + (blocks[j] + (e,),) + blocks[j + 1:], r)
+            yield _trusted(blocks + ((e,),), r)
+        else:
+            # pushed last-first, so that block 0 is popped first
+            stack.append((e + 1, blocks + ((e,),)))
+            for j in range(n - 1, -1, -1):
+                stack.append((e + 1, blocks[:j] + (blocks[j] + (e,),) + blocks[j + 1:]))
+
+
+def enumerate_partitions(r):
+    """All set partitions of {1,...,r} as a list, in `iter_partitions` order."""
+    return list(iter_partitions(r))
 
 
 def mobius_coefficient(pi):

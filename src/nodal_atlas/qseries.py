@@ -205,8 +205,8 @@ def _delta_over_q(order):
 
 def discriminant(order=DEFAULT_ORDER):
     """Delta = q * prod_{m>0} (1 - q^m)^24, truncated."""
-    if order < 1:
-        raise ValueError("discriminant needs order >= 1")
+    if order < 0:
+        raise ValueError("discriminant needs order >= 0")
     return PowerSeries((0,) + _delta_over_q(order - 1), order)
 
 

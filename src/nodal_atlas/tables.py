@@ -14,7 +14,7 @@ from functools import lru_cache
 from . import assets, chow, kazarian
 from .bell import eval_complete_bell
 from .exact import SparsePoly
-from .partitions import enumerate_partitions
+from .partitions import iter_partitions
 
 MAX_I = 15
 
@@ -148,7 +148,7 @@ def node_count_bruteforce(r, chern):
         return 1
     values = [a_form(i).evaluate(chern) for i in range(1, r + 1)]
     total = 0
-    for pi in enumerate_partitions(r):
+    for pi in iter_partitions(r):
         prod = 1
         for block in pi.blocks:
             prod *= values[len(block) - 1]

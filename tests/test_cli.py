@@ -50,6 +50,25 @@ def test_count_rejects_both_surfaces(capsys):
     assert code == 2
 
 
+def test_off_lattice_chern_numbers_are_rejected_before_any_work(capsys, monkeypatch):
+    # d + k odd breaks adjunction, s + x off 12Z breaks Noether's formula;
+    # neither is a surface, so the input is refused before anything is counted
+    def refuse(*args):
+        raise AssertionError("counted on off-lattice Chern numbers")
+
+    monkeypatch.setattr(cli, "node_count", refuse)
+    monkeypatch.setattr(cli, "count_multisingular", refuse)
+    for argv, law in (
+        (("count", "--chern", "292,48,-8,55", "--nodes", "4"), "Noether"),
+        (("count", "--chern", "1,2,3,9", "--nodes", "2"), "adjunction"),
+        (("kazarian", "--type", "A1^2", "--chern", "1,2,3,4"), "adjunction"),
+        (("kazarian", "--type", "A1^2", "--chern", "2,2,3,4"), "Noether"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert law in err, argv
+
+
 def test_qn_plane(capsys):
     code, out, _ = run_cli(capsys, "qn", "--p2", "--n", "3")
     assert code == 0
@@ -104,7 +123,7 @@ def test_partitions_size_is_bounded_before_any_work(capsys, monkeypatch):
     def refuse(r):
         raise AssertionError("enumerated partitions of an out-of-range --r")
 
-    monkeypatch.setattr(cli, "enumerate_partitions", refuse)
+    monkeypatch.setattr(cli, "iter_partitions", refuse)
     for r in ("11", "0"):
         code, out, err = run_cli(capsys, "partitions", "--r", r)
         assert (code, out) == (2, "")
@@ -133,7 +152,7 @@ def test_kazarian_type_is_bounded_before_any_work(capsys, monkeypatch):
     def refuse(r):
         raise AssertionError("enumerated the partitions of a type outside the table")
 
-    monkeypatch.setattr(kz, "enumerate_partitions", refuse)
+    monkeypatch.setattr(kz, "iter_partitions", refuse)
     code, out, err = run_cli(capsys, "kazarian", "--type", "A1^11", "--degree", "4")
     assert (code, out) == (2, "")
     assert err == "error: exponent 11 in 'A1^11' exceeds 4, the largest codimension in the table\n"
@@ -149,6 +168,12 @@ def test_series_g2_default(capsys):
     code, out, _ = run_cli(capsys, "series", "--g2", "--order", "4")
     assert code == 0
     assert out.strip() == "-1/24, 1, 3, 4, 7"
+
+
+def test_series_order_zero_prints_the_constant_term_alone(capsys):
+    for which, constant in (("g2", "-1/24"), ("delta", "0"), ("b1", "1"), ("b2", "1")):
+        code, out, _ = run_cli(capsys, "series", f"--{which}", "--order", "0")
+        assert (code, out) == (0, constant + "\n"), which
 
 
 def test_series_order_is_bounded_before_any_work(capsys):
@@ -412,7 +437,9 @@ def test_series_output_digest(capsys):
     # SHA-256 of the stdout of the whole `series` surface (argv outer, format
     # inner): every channel residual through q^15 and every series through
     # q^60, captured while the q-series layer still ran on dense Fraction
-    # products and the discriminant was the product formula
+    # products and the discriminant was the product formula, then re-captured
+    # when `--delta --order 0` came to print the one coefficient 0 (its three
+    # runs are the only ones whose output changed)
     digest = hashlib.sha256()
     for argv in _series_surface():
         for fmt in ("text", "json", "csv"):
@@ -421,5 +448,5 @@ def test_series_output_digest(capsys):
             digest.update(f"{code}\n".encode())
             digest.update(out.encode())
     assert digest.hexdigest() == (
-        "288bc0cd7c54b991327a8d629292c4de8c42733243de38c10b25b7d2cecdf40b"
+        "03096c0760e038d8ff7b03826d351ec1e9b6d53d54e48fd5a3d3a5fb5dc68f5d"
     )

@@ -1,6 +1,8 @@
 import math
+import tracemalloc
 from collections import Counter
 from functools import lru_cache
+from itertools import islice
 
 import pytest
 
@@ -9,12 +11,37 @@ from nodal_atlas.partitions import (
     enumerate_partitions,
     format_partition,
     integer_partition_signatures,
+    iter_partitions,
     mobius_coefficient,
     signature_count,
 )
 
 # Bell numbers B_0..B_12
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597]
+
+
+def partition_blocks_by_recursion(r):
+    """Blocks of every set partition of {1,...,r}, by the recursive
+    restricted-growth walk: element i goes into block a_i with
+    a_i <= 1 + max(a_1..a_{i-1}), trying the blocks in order.  An
+    independent oracle for the order and content of `iter_partitions`.
+    """
+    result = []
+    assignment = [0] * r
+
+    def grow(i, nblocks):
+        if i == r:
+            blocks = [[] for _ in range(nblocks)]
+            for elem, b in enumerate(assignment, start=1):
+                blocks[b].append(elem)
+            result.append(tuple(tuple(b) for b in blocks))
+            return
+        for b in range(nblocks + 1):
+            assignment[i] = b
+            grow(i + 1, max(nblocks, b + 1))
+
+    grow(0, 0)
+    return result
 
 
 def refines(finer, coarser):
@@ -60,6 +87,33 @@ def mobius_by_recursion(pi):
 def test_partition_counts_are_bell_numbers():
     for r in range(1, 11):
         assert len(enumerate_partitions(r)) == BELL[r]
+
+
+def test_stream_matches_recursive_enumeration():
+    for r in range(1, 11):
+        streamed = list(iter_partitions(r))
+        assert [pi.blocks for pi in streamed] == partition_blocks_by_recursion(r)
+        assert all(pi.r == r for pi in streamed)
+
+
+def test_streamed_partitions_equal_validated_ones():
+    # the stream skips the canonicalisation of the public constructor
+    for r in range(1, 9):
+        for pi in iter_partitions(r):
+            checked = SetPartition(pi.blocks)
+            assert pi == checked and hash(pi) == hash(checked)
+
+
+def test_stream_is_lazy():
+    assert next(iter_partitions(12)) == SetPartition([range(1, 13)])
+    tracemalloc.start()
+    try:
+        for _ in islice(iter_partitions(12), 1000):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_enumeration_has_no_duplicates():
@@ -165,6 +219,9 @@ def test_enumeration_cap():
         enumerate_partitions(13)
     with pytest.raises(ValueError):
         enumerate_partitions(0)
+    # the bound is checked when the stream is made, before any is drawn
+    with pytest.raises(ValueError):
+        iter_partitions(13)
 
 
 def test_top_bottom_mobius_consistency():

@@ -137,13 +137,13 @@ def test_node_count_rejects_non_integral_total():
 
 
 def test_hot_paths_skip_partition_enumeration(monkeypatch):
-    # node counts, Severi degrees and multiple-point degrees need neither
-    # enumerator; every module-level binding of both is made to raise
+    # node counts, Severi degrees and multiple-point degrees need no
+    # enumerator; every module-level binding of each is made to raise
     import sys
 
     from nodal_atlas import partitions
 
-    for name in ("integer_partition_signatures", "enumerate_partitions"):
+    for name in ("integer_partition_signatures", "enumerate_partitions", "iter_partitions"):
         original = getattr(partitions, name)
 
         def refuse(*args, _name=name, **kwargs):
