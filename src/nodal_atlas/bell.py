@@ -1,10 +1,14 @@
 """Complete and partial Bell polynomials over exact integers and rationals.
 
-The polynomials are generated from block-size signatures of set partitions
-(the multinomial count r!/(prod (i!)^j_i j_i!)), which keeps a single
-combinatorial source of truth with the partition-lattice layer.  Evaluation
-uses the O(r^2) complete Bell recurrence alone; the p(r)-term signature sum
-is the oracle in `checks`, and the tests compare the two routes.
+The complete polynomial is generated once per n from the block-size
+signatures of set partitions (the multinomial count r!/(prod (i!)^j_i j_i!)),
+which keeps a single combinatorial source of truth with the partition-lattice
+layer; a partial polynomial is the slice of it with a given number of
+blocks.  Evaluation uses the O(r^2) complete Bell recurrence alone; the
+p(r)-term signature sum is the oracle in `checks`, and the tests compare the
+two routes.  The symbolic node polynomial runs the same recurrence over
+packed integer exponents, in `tables`.  Cached polynomials are shared:
+callers must not mutate them.
 """
 
 from __future__ import annotations
@@ -23,14 +27,12 @@ def _check_r(r, lo=1):
         raise ValueError(f"Bell polynomial index must be in {lo}..{MAX_R}, got {r}")
 
 
-def _signature_poly(n, blocks=None):
-    """Sum over the block-size signatures of an n-set (with `blocks` blocks,
-    if given) of the number of set partitions with that signature times
-    x_1^{j_1}...x_n^{j_n}."""
+def _signature_poly(n):
+    """Sum over the block-size signatures of an n-set of the number of set
+    partitions with that signature times x_1^{j_1}...x_n^{j_n}."""
     terms = {}
     for sig in integer_partition_signatures(n):
-        if blocks is None or sum(sig.values()) == blocks:
-            terms[tuple(sig.get(i, 0) for i in range(1, n + 1))] = signature_count(n, sig)
+        terms[tuple(sig.get(i, 0) for i in range(1, n + 1))] = signature_count(n, sig)
     return SparsePoly(n, terms)
 
 
@@ -47,11 +49,13 @@ def complete_bell(r):
 
 @lru_cache(maxsize=None)
 def partial_bell(n, l):
-    """Partial Bell polynomial: the part of complete_bell(n) with l blocks."""
+    """Partial Bell polynomial: the part of complete_bell(n) with l blocks,
+    sliced from the cached complete polynomial."""
     _check_r(n)
     if not 1 <= l <= n:
         raise ValueError(f"partial_bell: need 1 <= l <= n, got l={l}, n={n}")
-    return _signature_poly(n, l)
+    terms = complete_bell(n).terms
+    return SparsePoly(n, {e: c for e, c in terms.items() if sum(e) == l})
 
 
 def eval_complete_bell(r, values):

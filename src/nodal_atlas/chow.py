@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import PolyD, SparsePoly, binomial, format_rational
 
@@ -189,9 +190,11 @@ def pushforward_to_Y(c, n):
     )
 
 
+@lru_cache(maxsize=None)
 def q_general(n):
     """Equivalence of the small diagonal on a general surface, as a linear
-    form in the four Chern numbers."""
+    form in the four Chern numbers.  Cached per n: callers must not mutate
+    the result."""
     if not 1 <= n <= Q_MAX:
         raise ValueError(f"q_general: n must be in 1..{Q_MAX}, got {n}")
     cls = (
@@ -227,8 +230,12 @@ def _p2_generators():
     return P2Class({(0, 0, 1): 1}), P2Class({(1, 0, 0): 1}), P2Class({(0, 1, 0): 1})
 
 
+@lru_cache(maxsize=None)
 def m_poly_p2(n):
-    """(1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1} (H + (d-1)l)^3."""
+    """(1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1} (H + (d-1)l)^3.
+
+    Cached per n and shared by the extraction and the correction terms:
+    callers must not mutate the result."""
     if not 1 <= n <= Q_MAX:
         raise ValueError(f"m_poly_p2: n must be in 1..{Q_MAX}, got {n}")
     d, l, H = _p2_generators()

@@ -131,11 +131,15 @@ def count_multisingular(alpha, chern):
     # the one-block term, looked up first so that a type outside the table
     # fails before any enumeration
     total = Fraction(s_alpha(alpha).evaluate(chern))
+    values = {}  # block -> its Thom form at chern, each evaluated once
     # the restricted-growth order puts the one-block partition first
     for pi in islice(iter_partitions(len(alpha)), 1, None):
         prod = Fraction(1)
         for block in pi.blocks:
-            sub = alpha.sub_type([i - 1 for i in block])
-            prod *= s_alpha(sub).evaluate(chern)
+            value = values.get(block)
+            if value is None:
+                sub = alpha.sub_type([i - 1 for i in block])
+                value = values[block] = s_alpha(sub).evaluate(chern)
+            prod *= value
         total += prod
     return total / aut_order(alpha)

@@ -44,10 +44,34 @@ class SetPartition:
         return f"SetPartition({format_partition(self)!r})"
 
 
+# Enumerated partitions share their block tuples, and an r-set has at most
+# 2^r - 1 blocks, so the walk of any r <= MAX_R fits below the limit.
+_BLOCK_TEXT_LIMIT = 1 << MAX_R
+
+
+class _BlockText(dict):
+    """Text of each block seen so far, e.g. (1, 2) -> '12'; emptied when it
+    reaches _BLOCK_TEXT_LIMIT entries, so hand-built blocks cannot grow it
+    without bound."""
+
+    def __init__(self, sep):
+        super().__init__()
+        self.sep = sep
+
+    def __missing__(self, block):
+        if len(self) >= _BLOCK_TEXT_LIMIT:
+            self.clear()
+        text = self[block] = self.sep.join(map(str, block))
+        return text
+
+
+_BLOCK_TEXT = (_BlockText(""), _BlockText(","))  # r <= 9, r > 9
+
+
 def format_partition(pi):
     """Text form '12|345'; elements are comma-separated when r > 9."""
-    sep = "" if pi.r <= 9 else ","
-    return "|".join(sep.join(str(e) for e in b) for b in pi.blocks)
+    text = _BLOCK_TEXT[pi.r > 9]
+    return "|".join([text[b] for b in pi.blocks])
 
 
 def _trusted(blocks, r):
@@ -96,6 +120,10 @@ def enumerate_partitions(r):
     return list(iter_partitions(r))
 
 
+# (-1)^(i-1) (i-1)! for block sizes i = 1..MAX_R, at index i - 1
+_BLOCK_MOBIUS = tuple((-1) ** i * math.factorial(i) for i in range(MAX_R))
+
+
 def mobius_coefficient(pi):
     """Moebius coefficient of the interval from the all-singletons partition.
 
@@ -104,7 +132,7 @@ def mobius_coefficient(pi):
     n = 1
     for b in pi.blocks:
         i = len(b)
-        n *= (-1) ** (i - 1) * math.factorial(i - 1)
+        n *= _BLOCK_MOBIUS[i - 1] if i <= MAX_R else (-1) ** (i - 1) * math.factorial(i - 1)
     return n
 
 

@@ -138,14 +138,32 @@ class PowerSeries:
 
 
 def series_exp(s):
-    """exp of a series with zero constant term, by the standard recurrence."""
+    """exp of a series with zero constant term.
+
+    With the coefficients over one common denominator D, c_k = p_k / D, the
+    scaled coefficients e_n = n! D^n E_n of the exponential obey the integer
+    recurrence e_n = sum_{k=1}^{n} k p_k D^{k-1} ((n-1)!/(n-k)!) e_{n-k},
+    e_0 = 1, so the only divisions are E_n = e_n / (n! D^n).
+    """
     if s[0] != 0:
         raise ValueError("series_exp requires constant term 0")
     t = s.order
-    ks = [k * c for k, c in enumerate(s.coeffs)]
-    out = [Fraction(1)] + [Fraction(0)] * t
+    den = math.lcm(*(c.denominator for c in s.coeffs))
+    w = [  # w_k = k p_k D^(k-1)
+        k * c.numerator * (den // c.denominator) * den ** (k - 1)
+        for k, c in enumerate(s.coeffs)
+    ]
+    e = [1] + [0] * t
     for n in range(1, t + 1):
-        out[n] = sum(ks[k] * out[n - k] for k in range(1, n + 1)) / n
+        acc, falling = 0, 1  # falling = (n-1)!/(n-k)!
+        for k in range(1, n + 1):
+            acc += w[k] * falling * e[n - k]
+            falling *= n - k
+        e[n] = acc
+    out, scale = [1], 1
+    for n in range(1, t + 1):
+        scale *= n * den
+        out.append(Fraction(e[n], scale))
     return PowerSeries(out, t)
 
 

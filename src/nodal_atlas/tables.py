@@ -159,33 +159,57 @@ def node_count_bruteforce(r, chern):
     return quotient.numerator
 
 
+# Y_n packs an exponent (e_d, e_k, e_s, e_x) into one int, a little-endian
+# byte per variable: multiplying by a variable adds its byte's unit.  No
+# exponent of Y_n exceeds n <= MAX_I, which must stay below 256.
+_UNITS = (1, 1 << 8, 1 << 16, 1 << 24)
+
+
+def _unpack(key):
+    return tuple(key.to_bytes(4, "little"))
+
+
+@lru_cache(maxsize=None)
+def _bell_y(n):
+    """Y_n(a_1, ..., a_n) as {packed exponent: int}, from the complete Bell
+    recurrence Y_n = sum_{k=1}^{n} C(n-1, k-1) a_k Y_{n-k}, Y_0 = 1.
+
+    Each Y_n is built once per process, from the table as `_rows` first
+    loaded it, and shared by every Y_m with m > n; multiplying by one
+    variable of the linear form a_k adds its unit to the packed key.
+    Callers must not mutate the result.
+    """
+    if n == 0:
+        return {0: 1}
+    y = {}
+    for k in range(1, n + 1):
+        form = a_form(k)
+        weight = math.comb(n - 1, k - 1) * form.sign_factorial()
+        prev = _bell_y(n - k)
+        for unit, coeff in zip(_UNITS, (form.D, form.E, form.F, form.G)):
+            if not coeff:
+                continue
+            c = weight * coeff
+            for key, v in prev.items():
+                key += unit
+                y[key] = y.get(key, 0) + c * v
+    return y
+
+
 def node_polynomial(r):
     """The universal degree-r polynomial in (d, k, s, x) counting r-nodal
     curves, Y_r(a_1, ..., a_r)/r!, expanded symbolically.
 
-    Y_r comes from the complete Bell recurrence
-    Y_n = sum_{k=1}^{n} C(n-1, k-1) a_k Y_{n-k}, Y_0 = 1, over integer
-    coefficients: multiplying by the linear form a_k shifts exponents in the
-    four variables.  The only division is the exact one by r! at the end.
+    Y_r comes from the integer complete Bell recurrence of `_bell_y`, whose
+    values are cached and shared across r, on packed exponents.  The only
+    division is the exact one by r! at the end; the result is a fresh
+    SparsePoly with tuple exponents, so no caller can alter a cached Y_n.
     """
     if not 1 <= r <= MAX_I:
         raise ValueError(f"node_polynomial: r must be in 1..{MAX_I}, got {r}")
-    ys = [{(0, 0, 0, 0): 1}]
-    for n in range(1, r + 1):
-        y = {}
-        for k in range(1, n + 1):
-            form = a_form(k)
-            weight = math.comb(n - 1, k - 1) * form.sign_factorial()
-            for axis, coeff in enumerate((form.D, form.E, form.F, form.G)):
-                if not coeff:
-                    continue
-                c = weight * coeff
-                for expo, v in ys[n - k].items():
-                    shifted = expo[:axis] + (expo[axis] + 1,) + expo[axis + 1 :]
-                    y[shifted] = y.get(shifted, 0) + c * v
-        ys.append(y)
     r_factorial = math.factorial(r)
-    return SparsePoly(4, {e: Fraction(c, r_factorial) for e, c in ys[r].items()})
+    terms = {_unpack(key): Fraction(c, r_factorial) for key, c in _bell_y(r).items()}
+    return SparsePoly(4, terms)
 
 
 def severi_degree_p2(d, r):

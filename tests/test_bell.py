@@ -45,6 +45,29 @@ def test_complete_is_sum_of_partials():
         assert total == complete_bell(r)
 
 
+def _stirling2_rows(n):
+    """S(m, l) for 0 <= l <= m <= n, by S(m, l) = l S(m-1, l) + S(m-1, l-1)."""
+    rows = [[1]]
+    for m in range(1, n + 1):
+        prev = rows[-1] + [0]
+        rows.append([0] + [l * prev[l] + prev[l - 1] for l in range(1, m + 1)])
+    return rows
+
+
+def test_partial_bell_counts_match_stirling_recurrence():
+    # independent of complete_bell: the coefficients of B_{n,l} count the
+    # set partitions of an n-set into l blocks, and every monomial has
+    # weight sum i j_i = n and sum j_i = l blocks
+    stirling = _stirling2_rows(15)
+    for n in range(1, 16):
+        for l in range(1, n + 1):
+            part = partial_bell(n, l)
+            assert sum(part.terms.values()) == stirling[n][l]
+            for expo in part.terms:
+                assert sum(i * j for i, j in enumerate(expo, start=1)) == n
+                assert sum(expo) == l
+
+
 def test_partial_bell_values():
     # number of ways to split a 6-set into 3 blocks
     assert partial_bell(6, 3).evaluate([1] * 6) == 90

@@ -1,5 +1,9 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,17 @@ def test_count_plane(capsys):
     code, out, _ = run_cli(capsys, "count", "--degree", "4", "--nodes", "2")
     assert code == 0
     assert out.strip() == "225"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "nodal_atlas", "count", "--degree", "4", "--nodes", "2"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "225\n", "")
 
 
 def test_count_with_oracle(capsys):

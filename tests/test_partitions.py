@@ -135,6 +135,16 @@ def test_format_with_commas():
     assert format_partition(pi) == "1,11|2,3,4,5,6,7,8,9,10"
 
 
+def test_format_keeps_separators_apart_for_a_shared_block():
+    # the same block tuple prints without commas when r <= 9, with them above
+    small, large = enumerate_partitions(3)[1], enumerate_partitions(10)[1]
+    assert small.blocks[0] == large.blocks[0][:2]
+    assert format_partition(small) == "12|3"
+    assert format_partition(large) == "1,2,3,4,5,6,7,8,9|10"
+    assert format_partition(SetPartition([[1, 2], [3]])) == "12|3"
+    assert format_partition(SetPartition([[1, 2], range(3, 11)])) == "1,2|3,4,5,6,7,8,9,10"
+
+
 def test_invalid_blocks_rejected():
     with pytest.raises(ValueError):
         SetPartition([[1, 2], [2, 3]])
@@ -159,6 +169,14 @@ def test_mobius_closed_form():
     assert mobius_coefficient(_top(5)) == 24
     assert mobius_coefficient(SetPartition([[1, 2], [3]])) == -1
     assert mobius_coefficient(SetPartition([[1, 2, 3], [4, 5]])) == -2
+
+
+def test_mobius_of_a_block_beyond_max_r():
+    # a hand-built partition may hold a block larger than any enumerated one
+    pi = SetPartition([range(1, 14), [14, 15]])
+    assert mobius_coefficient(pi) == -math.factorial(12)
+    assert mobius_coefficient(_top(13)) == math.factorial(12)
+    assert mobius_coefficient(_top(12)) == -math.factorial(11)
 
 
 def test_mobius_matches_defining_recursion():

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from nodal_atlas import assets
+from nodal_atlas import assets, tables
 from nodal_atlas.bell import SparsePoly
 from nodal_atlas.checks import node_count_by_signatures
 from nodal_atlas.chow import multiple_point_degree
@@ -209,6 +209,29 @@ def _node_polynomial_by_signature_powers(r):
 def test_node_polynomial_matches_signature_powers():
     for r in range(1, 10):
         assert node_polynomial(r).terms == _node_polynomial_by_signature_powers(r).terms
+
+
+def test_node_polynomial_results_are_fresh():
+    first = node_polynomial(6)
+    want = dict(first.terms)
+    first.terms.clear()
+    first.terms[(9, 9, 9, 9)] = Fraction(1)
+    assert node_polynomial(6).terms == want
+    assert node_polynomial(7).evaluate([16, -12, 9, 3]) == node_count(7, ChernNumbers.p2(4))
+
+
+def test_packed_exponents_round_trip():
+    # one byte per variable: an exponent of Y_n is at most n <= MAX_I, so
+    # lifting MAX_I to 256 or more must fail here rather than carry a field
+    # silently into the next one
+    assert MAX_I < 256
+    y15 = tables._bell_y(15)
+    poly = node_polynomial(15)
+    assert {tables._unpack(key) for key in y15} == set(poly.terms)
+    for key in y15:
+        expo = tables._unpack(key)
+        assert max(expo) <= 15
+        assert int.from_bytes(bytes(expo), "little") == key
 
 
 def test_node_polynomial_degree_one():
