@@ -230,12 +230,8 @@ def _p2_generators():
     return P2Class({(0, 0, 1): 1}), P2Class({(1, 0, 0): 1}), P2Class({(0, 1, 0): 1})
 
 
-@lru_cache(maxsize=None)
 def m_poly_p2(n):
-    """(1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1} (H + (d-1)l)^3.
-
-    Cached per n and shared by the extraction and the correction terms:
-    callers must not mutate the result."""
+    """(1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1} (H + (d-1)l)^3."""
     if not 1 <= n <= Q_MAX:
         raise ValueError(f"m_poly_p2: n must be in 1..{Q_MAX}, got {n}")
     d, l, H = _p2_generators()
@@ -270,9 +266,12 @@ def q_p2_closed(n):
     return PolyD([h, g, f])
 
 
+@lru_cache(maxsize=None)
 def c_correction_p2(n):
     """Correction term attached to the small diagonal for P^2, as a
-    polynomial in d.  Zero for n <= 2; no formula exists beyond n = 4."""
+    polynomial in d.  Zero for n <= 2; no formula exists beyond n = 4.
+
+    Cached per n and shared by every `multiple_point_degree`."""
     if n in (1, 2):
         return PolyD()
     if n == 3:

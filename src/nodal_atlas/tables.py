@@ -169,47 +169,59 @@ def _unpack(key):
     return tuple(key.to_bytes(4, "little"))
 
 
-@lru_cache(maxsize=None)
-def _bell_y(n):
-    """Y_n(a_1, ..., a_n) as {packed exponent: int}, from the complete Bell
-    recurrence Y_n = sum_{k=1}^{n} C(n-1, k-1) a_k Y_{n-k}, Y_0 = 1.
+def _bell_ys():
+    """[Y_0, ..., Y_MAX_I] with Y_n(a_1, ..., a_n) as {packed exponent: int},
+    from the complete Bell recurrence
+    Y_n = sum_{k=1}^{n} C(n-1, k-1) a_k Y_{n-k}, Y_0 = 1.
 
-    Each Y_n is built once per process, from the table as `_rows` first
-    loaded it, and shared by every Y_m with m > n; multiplying by one
-    variable of the linear form a_k adds its unit to the packed key.
-    Callers must not mutate the result.
+    Multiplying by one variable of the linear form a_k adds its unit to the
+    packed key.
     """
-    if n == 0:
-        return {0: 1}
-    y = {}
-    for k in range(1, n + 1):
-        form = a_form(k)
-        weight = math.comb(n - 1, k - 1) * form.sign_factorial()
-        prev = _bell_y(n - k)
-        for unit, coeff in zip(_UNITS, (form.D, form.E, form.F, form.G)):
-            if not coeff:
-                continue
-            c = weight * coeff
-            for key, v in prev.items():
-                key += unit
-                y[key] = y.get(key, 0) + c * v
-    return y
+    ys = [{0: 1}]
+    for n in range(1, MAX_I + 1):
+        y = {}
+        for k in range(1, n + 1):
+            form = a_form(k)
+            weight = math.comb(n - 1, k - 1) * form.sign_factorial()
+            prev = ys[n - k]
+            for unit, coeff in zip(_UNITS, (form.D, form.E, form.F, form.G)):
+                if not coeff:
+                    continue
+                c = weight * coeff
+                for key, v in prev.items():
+                    key += unit
+                    y[key] = y.get(key, 0) + c * v
+        ys.append(y)
+    return ys
+
+
+@lru_cache(maxsize=None)
+def _node_terms():
+    """Index r in 1..MAX_I: the terms of Y_r/r! as {exponent tuple: Fraction}.
+
+    The whole table is built in one pass on first use, from the a_i as
+    `_rows` first loaded them, so every later node polynomial costs one dict
+    copy, whichever r comes first.  Callers must not mutate it.
+    """
+    terms = [None]
+    for r, y in enumerate(_bell_ys()[1:], start=1):
+        r_factorial = math.factorial(r)
+        terms.append({_unpack(key): Fraction(c, r_factorial) for key, c in y.items()})
+    return tuple(terms)
 
 
 def node_polynomial(r):
     """The universal degree-r polynomial in (d, k, s, x) counting r-nodal
     curves, Y_r(a_1, ..., a_r)/r!, expanded symbolically.
 
-    Y_r comes from the integer complete Bell recurrence of `_bell_y`, whose
-    values are cached and shared across r, on packed exponents.  The only
-    division is the exact one by r! at the end; the result is a fresh
-    SparsePoly with tuple exponents, so no caller can alter a cached Y_n.
+    Y_r comes from the integer complete Bell recurrence of `_bell_ys`, run
+    once per process for every r <= MAX_I on packed exponents.  The only
+    division is the exact one by r!; the result is a fresh SparsePoly over a
+    copy of the cached terms, so no caller can alter them.
     """
     if not 1 <= r <= MAX_I:
         raise ValueError(f"node_polynomial: r must be in 1..{MAX_I}, got {r}")
-    r_factorial = math.factorial(r)
-    terms = {_unpack(key): Fraction(c, r_factorial) for key, c in _bell_y(r).items()}
-    return SparsePoly(4, terms)
+    return SparsePoly(4)._new(dict(_node_terms()[r]))
 
 
 def severi_degree_p2(d, r):

@@ -225,7 +225,7 @@ def test_packed_exponents_round_trip():
     # lifting MAX_I to 256 or more must fail here rather than carry a field
     # silently into the next one
     assert MAX_I < 256
-    y15 = tables._bell_y(15)
+    y15 = tables._bell_ys()[15]
     poly = node_polynomial(15)
     assert {tables._unpack(key) for key in y15} == set(poly.terms)
     for key in y15:
