@@ -4,11 +4,13 @@ The complete polynomial is generated once per n from the block-size
 signatures of set partitions (the multinomial count r!/(prod (i!)^j_i j_i!)),
 which keeps a single combinatorial source of truth with the partition-lattice
 layer; a partial polynomial is the slice of it with a given number of
-blocks.  Evaluation uses the O(r^2) complete Bell recurrence alone; the
-p(r)-term signature sum is the oracle in `checks`, and the tests compare the
-two routes.  The symbolic node polynomial runs the same recurrence over
-packed integer exponents, in `tables`.  Cached polynomials are shared:
-callers must not mutate them.
+blocks.  Evaluation (for multiple-point degrees) uses the O(r^2) complete
+Bell recurrence alone; the p(r)-term signature sum is the oracle in `checks`,
+and the tests compare the two routes.  The symbolic node polynomial runs the
+same recurrence over packed integer exponents, in `tables`; numeric node
+counts there use Newton's identity instead, which needs neither binomials
+nor the division by r!.  Cached polynomials are shared: callers must not
+mutate them.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from . import checks
 from .bell import complete_bell, partial_bell
-from .chow import c_correction_p2, q_general, q_p2_closed, q_p2_extraction
+from .chow import Q_MAX, c_correction_p2, q_general, q_p2_closed, q_p2_extraction
 from .exact import format_rational
 from .kazarian import MultisingularityType, count_multisingular, s_alpha
 from .partitions import format_partition, iter_partitions, mobius_coefficient
@@ -43,6 +43,10 @@ EXIT_INCONSISTENT = 3
 # Largest `series --order`; at this order the slowest series (--delta) takes
 # well under a second from a cold start.
 MAX_SERIES_ORDER = 60
+# Largest `qn --n`: the plane quadratic at n = 1000 has coefficients of about
+# 800 digits and prints in well under a second in every format; far larger n
+# runs for seconds and then overflows Python's int-to-string digit limit.
+MAX_QN_N = 1000
 # Largest `partitions --r`: B_10 = 115975 lines.  Text output streams one
 # partition at a time, but json and csv hold every record, and B_12 would be
 # about 4.2M of them.
@@ -75,6 +79,8 @@ def _surface(args):
     if args.degree is not None and args.chern is not None:
         raise ValueError("give either --degree (plane curves) or --chern, not both")
     if args.degree is not None:
+        if args.degree < 1:
+            raise ValueError(f"--degree must be >= 1, got {args.degree}")
         return ChernNumbers.p2(args.degree)
     if args.chern is not None:
         return _parse_chern(args.chern)
@@ -130,6 +136,8 @@ def _cmd_zr(args):
 
 
 def _cmd_qn(args):
+    if not 1 <= args.n <= MAX_QN_N:
+        raise ValueError(f"--n must be in 1..{MAX_QN_N}, got {args.n}")
     if args.general:
         form = q_general(args.n)
         payload = {"command": "qn", "n": args.n, "surface": "general", "form": form.to_dict()}
@@ -343,7 +351,8 @@ def build_parser():
     p.set_defaults(run=_cmd_zr)
 
     p = sub.add_parser("qn", parents=[common], help="diagonal equivalence terms")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=int, required=True,
+                   help=f"1..{MAX_QN_N} (--general, --extraction and --oracle stop at {Q_MAX})")
     p.add_argument("--general", action="store_true",
                    help="general surface (linear form) instead of the plane")
     p.add_argument("--p2", action="store_true", help="plane specialization (default)")
@@ -410,7 +419,9 @@ def main(argv=None):
     except BrokenPipeError:
         return EXIT_OK
     except (ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its argument, quotes included
+        message = exc.args[0] if isinstance(exc, KeyError) and len(exc.args) == 1 else exc
+        print(f"error: {message}", file=sys.stderr)
         return EXIT_VALIDATION
     except (ArithmeticError, AssertionError, ConsistencyError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)

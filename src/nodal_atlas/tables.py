@@ -6,13 +6,13 @@ table to the equivalence/correction terms and the Thom polynomials.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from . import assets, chow, kazarian
-from .bell import eval_complete_bell
 from .exact import SparsePoly
 from .partitions import iter_partitions
 
@@ -51,9 +51,12 @@ class NodeLinearForm:
     def sign_factorial(self):
         return (-1) ** (self.i - 1) * math.factorial(self.i - 1)
 
+    def linear_value(self, chern):
+        """L_i = D d + E k + F s + G x, the row without its sign and factorial."""
+        return self.D * chern.d + self.E * chern.k + self.F * chern.s + self.G * chern.x
+
     def evaluate(self, chern):
-        base = self.D * chern.d + self.E * chern.k + self.F * chern.s + self.G * chern.x
-        return self.sign_factorial() * base
+        return self.sign_factorial() * self.linear_value(chern)
 
     def linear_form(self):
         """a_i as a chow.LinearForm (sign and factorial folded in)."""
@@ -127,18 +130,31 @@ TILDE_EXEMPT_CELLS = {(14, 3)}  # (row, column index of x): documented sign typo
 
 def node_count(r, chern):
     """Number of r-nodal curves in the system through the expected number of
-    general points: the r-th complete Bell polynomial in a_1..a_r over r!.
+    general points: N_r = Y_r(a_1, ..., a_r)/r!, the complete Bell polynomial
+    in a_1..a_r over r!.
 
-    The division must be exact; a remainder signals corrupted table data.
+    With a_i = (-1)^{i-1} (i-1)! L_i, the generating function of the N_r is
+    exp(sum_i (-1)^{i-1} L_i t^i / i), so Newton's identity
+    m N_m = sum_{i=1}^{m} (-1)^{i-1} L_i N_{m-i}, N_0 = 1, gives them in one
+    pass, each step one exact division by m.  Off the adjunction/Noether
+    lattice a step may not divide; the pass then goes on in Fractions, and a
+    non-integral N_r, which signals corrupted table data or numbers that are
+    no surface's, raises ArithmeticError.
     """
     if r < 0 or r > MAX_I:
         raise ValueError(f"node_count: r must be in 0..{MAX_I}, got {r}")
-    values = [a_form(i).evaluate(chern) for i in range(1, r + 1)]
-    total = eval_complete_bell(r, values)
-    quotient, remainder = divmod(total, math.factorial(r))
-    if remainder:
-        raise ArithmeticError(f"node count is not integral at r={r}, chern={chern}: {total}/{r}!")
-    return quotient
+    rows = _rows()
+    signed = [(-1) ** (i - 1) * rows[i]["form"].linear_value(chern) for i in range(1, r + 1)]
+    counts = [1]
+    for m in range(1, r + 1):
+        total = sum(map(operator.mul, signed, reversed(counts)))
+        # divmod of a Fraction total also gives an int quotient, so N_m is an
+        # int whenever it is integral and a Fraction only when it is not
+        quotient, remainder = divmod(total, m)
+        counts.append(Fraction(total, m) if remainder else quotient)
+    if isinstance(counts[r], Fraction):
+        raise ArithmeticError(f"node count is not integral at r={r}, chern={chern}: {counts[r]}")
+    return counts[r]
 
 
 def node_count_bruteforce(r, chern):

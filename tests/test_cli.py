@@ -176,7 +176,40 @@ def test_kazarian_type_is_bounded_before_any_work(capsys, monkeypatch):
     count = run_cli(capsys, "kazarian", "--type", "A1^4*A2^4", "--degree", "4")
     assert count == form
     assert form[:2] == (2, "")
-    assert "A1^4*A2^4 is not in the table (codimension 12)" in form[2]
+    assert form[2] == "error: multisingularity type A1^4*A2^4 is not in the table (codimension 12)\n"
+
+
+def test_plane_degree_is_bounded_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("counted on a plane of degree < 1")
+
+    monkeypatch.setattr(cli, "node_count", refuse)
+    monkeypatch.setattr(cli, "count_multisingular", refuse)
+    for argv in (
+        ("count", "--degree", "0", "--nodes", "2"),
+        ("count", "--degree", "-3", "--nodes", "1"),
+        ("kazarian", "--type", "A1", "--degree", "-2"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err == f"error: --degree must be >= 1, got {argv[argv.index('--degree') + 1]}\n"
+
+
+def test_qn_n_is_bounded_before_any_work(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"computed Q_{n} outside the --n bound")
+
+    for name in ("q_p2_closed", "q_p2_extraction", "q_general"):
+        monkeypatch.setattr(cli, name, refuse)
+    for n in (str(cli.MAX_QN_N + 1), "300000", "0", "-1"):
+        for flag in ("--p2", "--general", "--extraction", "--oracle"):
+            code, out, err = run_cli(capsys, "qn", flag, "--n", n)
+            assert (code, out) == (2, ""), (flag, n)
+            assert err == f"error: --n must be in 1..{cli.MAX_QN_N}, got {n}\n"
+    monkeypatch.undo()
+    for fmt in ("text", "json", "csv"):
+        code, out, _ = run_cli(capsys, "qn", "--n", str(cli.MAX_QN_N), "--format", fmt)
+        assert code == 0 and out
 
 
 def test_series_g2_default(capsys):

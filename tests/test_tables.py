@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nodal_atlas import assets, tables
-from nodal_atlas.bell import SparsePoly
+from nodal_atlas.bell import SparsePoly, eval_complete_bell
 from nodal_atlas.checks import node_count_by_signatures
 from nodal_atlas.chow import multiple_point_degree
 from nodal_atlas.exact import PolyD
@@ -126,6 +126,49 @@ def test_node_count_matches_bruteforce():
             assert node_count_bruteforce(r, chern) == node_count(r, chern)
         for r in range(0, MAX_I + 1):
             assert node_count_by_signatures(r, chern) == node_count(r, chern)
+
+
+def test_newton_route_equals_bell_recurrence_over_r_factorial():
+    # the box holds surfaces and numbers off the adjunction/Noether lattice;
+    # node_count must raise on exactly the pairs whose Y_r/r! is fractional
+    box = [
+        ChernNumbers(d, k, s, x)
+        for d in range(-1, 3) for k in (-1, 0, 1) for s in (0, 1) for x in (0, 1, 11)
+    ]
+    integral = fractional = recovered = 0
+    for chern in box:
+        values = [form.evaluate(chern) for form in all_forms()]
+        seen_fraction = False
+        for r in range(0, MAX_I + 1):
+            # the binomial complete-Bell recurrence, exactly: Y_r(a_1..a_r)/r!
+            want = Fraction(eval_complete_bell(r, values), math.factorial(r))
+            if want.denominator == 1:
+                got = node_count(r, chern)
+                assert type(got) is int and got == want, (r, chern)
+                integral += 1
+                recovered += seen_fraction
+            else:
+                with pytest.raises(ArithmeticError):
+                    node_count(r, chern)
+                fractional += 1
+                seen_fraction = True
+    # both outcomes occur, and some integral N_r follow a fractional N_m, m < r,
+    # which the pass carries in Fractions
+    assert integral and fractional and recovered
+
+
+def test_newton_route_matches_signature_oracle_on_huge_chern_numbers():
+    rng = random.Random(2011)
+    big = 10**30
+    for _ in range(4):
+        d = rng.randint(big, 9 * big)
+        k = rng.randint(-9 * big, 9 * big)
+        k += (d + k) % 2
+        s = rng.randint(-9 * big, 9 * big)
+        x = rng.randint(-9 * big, 9 * big)
+        x -= (s + x) % 12
+        chern = ChernNumbers(d, k, s, x)
+        assert node_count(MAX_I, chern) == node_count_by_signatures(MAX_I, chern)
 
 
 def test_node_count_rejects_non_integral_total():
