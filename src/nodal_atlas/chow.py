@@ -15,6 +15,10 @@ Both rings are truncations of the sparse polynomial kernel
 Both truncate eagerly at multiplication time: monomials above the surface
 dimension or the H cap can never contribute to any extracted coefficient,
 so dropping them is sound and keeps every product finite.
+
+What the surface ring pushes forward to, a ``LinearForm`` in the four Chern
+numbers, is the same kernel on the unit exponents; on the plane it becomes
+an ``exact.PolyD`` in d.
 """
 
 from __future__ import annotations
@@ -29,49 +33,28 @@ Q_MAX = 8
 H_CAP = Q_MAX  # no extraction reads a power of H above Q_MAX
 
 
-class LinearForm:
-    """A linear form c_d*dd + c_k*k + c_s*s + c_x*x in the four Chern numbers.
+_UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
 
-    Field names follow the intersection numbers: d = L^2, k = L.K, s = K^2,
-    x = c_2(S).
+
+def _unit_coefficient(expo):
+    return property(lambda form: form.terms.get(expo, 0))
+
+
+class LinearForm(SparsePoly):
+    """A linear form c_d*d + c_k*k + c_s*s + c_x*x in the four Chern numbers,
+    held as the kernel on the unit exponents.
+
+    Variable names follow the intersection numbers: d = L^2, k = L.K,
+    s = K^2, x = c_2(S).
     """
 
-    __slots__ = ("d", "k", "s", "x")
+    __slots__ = ()
+    names = ("d", "k", "s", "x")
+    coeff_sep = ""
+    d, k, s, x = map(_unit_coefficient, _UNITS)
 
     def __init__(self, d=0, k=0, s=0, x=0):
-        self.d = Fraction(d)
-        self.k = Fraction(k)
-        self.s = Fraction(s)
-        self.x = Fraction(x)
-
-    def __eq__(self, other):
-        if not isinstance(other, LinearForm):
-            return NotImplemented
-        return (self.d, self.k, self.s, self.x) == (other.d, other.k, other.s, other.x)
-
-    def __hash__(self):
-        return hash((self.d, self.k, self.s, self.x))
-
-    def __add__(self, other):
-        return LinearForm(
-            self.d + other.d, self.k + other.k, self.s + other.s, self.x + other.x
-        )
-
-    def __sub__(self, other):
-        return LinearForm(
-            self.d - other.d, self.k - other.k, self.s - other.s, self.x - other.x
-        )
-
-    def __mul__(self, scalar):
-        scalar = Fraction(scalar)
-        return LinearForm(
-            self.d * scalar, self.k * scalar, self.s * scalar, self.x * scalar
-        )
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1
+        super().__init__(4, dict(zip(_UNITS, (d, k, s, x))))
 
     def evaluate(self, chern):
         """Value at a surface, given anything with attributes d, k, s, x."""
@@ -81,32 +64,10 @@ class LinearForm:
 
     def specialize_p2(self):
         """As a polynomial in d for (P^2, O(d)): chern numbers (d^2, -3d, 9, 3)."""
-        return PolyD(
-            [9 * self.s + 3 * self.x, -3 * self.k, self.d]
-        )
+        return PolyD([9 * self.s + 3 * self.x, -3 * self.k, self.d])
 
     def to_dict(self):
-        return {
-            "d": format_rational(self.d),
-            "k": format_rational(self.k),
-            "s": format_rational(self.s),
-            "x": format_rational(self.x),
-        }
-
-    def __str__(self):
-        parts = []
-        for coeff, name in ((self.d, "d"), (self.k, "k"), (self.s, "s"), (self.x, "x")):
-            if coeff == 0:
-                continue
-            mag = abs(coeff)
-            body = name if mag == 1 else f"{format_rational(mag)}{name}"
-            if not parts:
-                parts.append(body if coeff > 0 else f"-{body}")
-            else:
-                parts.append(f"+ {body}" if coeff > 0 else f"- {body}")
-        return " ".join(parts) if parts else "0"
-
-    __repr__ = __str__
+        return {name: format_rational(getattr(self, name)) for name in self.names}
 
 
 class GradedClass(SparsePoly):
@@ -221,9 +182,8 @@ class P2Class(SparsePoly):
 
     def coefficient(self, e_l, e_h):
         """The l^e_l H^e_h coefficient, a polynomial in d."""
-        get = super().coefficient
-        top = max((e[2] for e in self.terms), default=-1)
-        return PolyD([get((e_l, e_h, e_d)) for e_d in range(top + 1)])
+        by_d = {e[2]: c for e, c in self.terms.items() if e[0] == e_l and e[1] == e_h}
+        return PolyD([by_d.get(e_d, 0) for e_d in range(max(by_d, default=-1) + 1)])
 
 
 def _p2_generators():

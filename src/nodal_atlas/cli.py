@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 
 from . import checks
-from .bell import complete_bell, partial_bell
+from .bell import MAX_R, complete_bell, partial_bell
 from .chow import Q_MAX, c_correction_p2, q_general, q_p2_closed, q_p2_extraction
 from .exact import format_rational
 from .kazarian import MultisingularityType, count_multisingular, s_alpha
@@ -28,6 +28,7 @@ from .qseries import (
     recover_b2,
 )
 from .tables import (
+    MAX_I,
     ChernNumbers,
     all_forms,
     node_count,
@@ -58,6 +59,12 @@ MAX_BRUTEFORCE_NODES = 9
 
 class ConsistencyError(Exception):
     """An exact identity that must hold numerically failed."""
+
+
+def _check_range(flag, value, lo, hi):
+    """Refuse an out-of-range argument, naming its flag, before any work."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{flag} must be in {lo}..{hi}, got {value}")
 
 
 def _parse_chern(text):
@@ -100,6 +107,7 @@ def _emit(args, text_lines, payload, csv_rows=None):
 
 
 def _cmd_count(args):
+    _check_range("--nodes", args.nodes, 0, MAX_I)
     chern = _surface(args)
     value = node_count(args.nodes, chern)
     if args.oracle:
@@ -125,6 +133,7 @@ def _cmd_count(args):
 
 
 def _cmd_zr(args):
+    _check_range("--r", args.r, 1, MAX_I)
     poly = node_polynomial(args.r)
     names = ["d", "k", "s", "x"]
     payload = {"command": "zr", "r": args.r, "terms": poly.to_records()}
@@ -136,8 +145,10 @@ def _cmd_zr(args):
 
 
 def _cmd_qn(args):
-    if not 1 <= args.n <= MAX_QN_N:
-        raise ValueError(f"--n must be in 1..{MAX_QN_N}, got {args.n}")
+    _check_range("--n", args.n, 1, MAX_QN_N)
+    for flag in ("general", "extraction", "oracle"):
+        if getattr(args, flag):
+            _check_range(f"--n with --{flag}", args.n, 1, Q_MAX)
     if args.general:
         form = q_general(args.n)
         payload = {"command": "qn", "n": args.n, "surface": "general", "form": form.to_dict()}
@@ -161,6 +172,7 @@ def _cmd_qn(args):
 
 
 def _cmd_cn(args):
+    _check_range("--n", args.n, 1, 4)  # no correction term is known past C_4
     poly = c_correction_p2(args.n)
     payload = {"command": "cn", "n": args.n, "coefficients": poly.to_list()}
     _emit(args, [str(poly)], payload, [["degree", "coefficient"]] + [
@@ -170,11 +182,13 @@ def _cmd_cn(args):
 
 
 def _cmd_bell(args):
+    _check_range("--n", args.n, 1, MAX_R)
     if args.kind == "complete":
         poly = complete_bell(args.n)
     else:
         if args.blocks is None:
             raise ValueError("partial Bell polynomials need --blocks")
+        _check_range("--blocks", args.blocks, 1, args.n)
         poly = partial_bell(args.n, args.blocks)
     payload = {
         "command": "bell",
@@ -193,8 +207,7 @@ def _cmd_bell(args):
 
 
 def _cmd_partitions(args):
-    if not 1 <= args.r <= MAX_PARTITIONS_R:
-        raise ValueError(f"--r must be in 1..{MAX_PARTITIONS_R}, got {args.r}")
+    _check_range("--r", args.r, 1, MAX_PARTITIONS_R)
     parts = iter_partitions(args.r)
     if args.format == "text":
         if args.mobius:
@@ -243,8 +256,7 @@ def _series_payload(name, series):
 
 def _cmd_series(args):
     order = args.order
-    if not 0 <= order <= MAX_SERIES_ORDER:
-        raise ValueError(f"--order must be in 0..{MAX_SERIES_ORDER}, got {order}")
+    _check_range("--order", order, 0, MAX_SERIES_ORDER)
     # the series read from the coefficient table stop where the table does
     table_order = min(order, TABLE_ORDER)
     if args.gyz_check:

@@ -1,6 +1,7 @@
-"""Exact arithmetic primitives: binomials, univariate polynomials in a
-formal degree parameter d, and the sparse multivariate polynomial kernel
-that the Bell polynomials and the truncated intersection rings share.
+"""Exact arithmetic primitives: binomials and the sparse multivariate
+polynomial kernel that every polynomial in the package shares: the Bell
+polynomials, the truncated intersection rings, the linear forms in the Chern
+numbers and, as ``PolyD``, the polynomials in the formal curve degree d.
 
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  Nothing
@@ -36,125 +37,6 @@ def _as_fraction(x):
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 
-class PolyD:
-    """Dense univariate polynomial over Fraction in the formal variable d.
-
-    Coefficients are stored ascending in degree with no trailing zeros;
-    the zero polynomial has an empty coefficient list and degree -1.
-    Instances are immutable by convention (no method mutates self).
-    """
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs=()):
-        cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
-    def coefficient(self, i):
-        if 0 <= i < len(self.coeffs):
-            return self.coeffs[i]
-        return Fraction(0)
-
-    def __bool__(self):
-        return bool(self.coeffs)
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyD([other])
-        if not isinstance(other, PolyD):
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyD([other])
-        n = max(len(self.coeffs), len(other.coeffs))
-        return PolyD([self.coefficient(i) + other.coefficient(i) for i in range(n)])
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PolyD([-c for c in self.coeffs])
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PolyD([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PolyD([c * other for c in self.coeffs])
-        if not isinstance(other, PolyD):
-            return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return PolyD()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return PolyD(out)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = PolyD([1])
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            base = base * base
-            e >>= 1
-        return result
-
-    def __call__(self, d):
-        """Evaluate at d (Horner)."""
-        acc = Fraction(0)
-        for c in reversed(self.coeffs):
-            acc = acc * d + c
-        return acc
-
-    def to_list(self):
-        """Coefficient array ascending in degree, as 'p/q' strings."""
-        return [format_rational(c) for c in self.coeffs]
-
-    def __repr__(self):
-        return f"PolyD({list(self.coeffs)!r})"
-
-    def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for i in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[i]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if i == 0:
-                term = format_rational(mag)
-            else:
-                var = "d" if i == 1 else f"d^{i}"
-                term = var if mag == 1 else f"{format_rational(mag)}{var}"
-            if not parts:
-                parts.append(term if c > 0 else f"-{term}")
-            else:
-                parts.append(f"+ {term}" if c > 0 else f"- {term}")
-        return " ".join(parts)
-
-
 class SparsePoly:
     """Multivariate polynomial as a map from exponent tuples to int or
     Fraction coefficients.
@@ -162,11 +44,13 @@ class SparsePoly:
     All exponent tuples share one arity; zero coefficients are never stored.
     A truncated ring is a subclass whose ``keep(expo)`` rejects the monomials
     it drops; they must span an ideal, so that dropping them as soon as they
-    appear is sound.  ``names`` names the variables when printing.
+    appear is sound.  ``names`` names the variables when printing, and
+    ``coeff_sep`` is the text between a coefficient and its monomial.
     """
 
     __slots__ = ("arity", "terms")
     names = None
+    coeff_sep = "*"
 
     @staticmethod
     def keep(expo):
@@ -305,7 +189,7 @@ class SparsePoly:
             if not factors:
                 body = format_rational(mag)
             elif mag != 1:
-                body = f"{format_rational(mag)}*{body}"
+                body = f"{format_rational(mag)}{self.coeff_sep}{body}"
             if not parts:
                 parts.append(body if c > 0 else f"-{body}")
             else:
@@ -313,6 +197,31 @@ class SparsePoly:
         return " ".join(parts)
 
     __repr__ = __str__
+
+
+class PolyD(SparsePoly):
+    """Polynomial in the formal curve degree d: the arity-1 kernel, built
+    from and read as a dense coefficient list, constant term first."""
+
+    __slots__ = ()
+    names = ("d",)
+    coeff_sep = ""
+
+    def __init__(self, coeffs=()):
+        super().__init__(1, {(i,): c for i, c in enumerate(coeffs)})
+
+    @property
+    def coeffs(self):
+        """The dense coefficients, constant term first, no trailing zeros."""
+        top = max((e for (e,) in self.terms), default=-1)
+        return tuple(self.terms.get((i,), 0) for i in range(top + 1))
+
+    def __call__(self, d):
+        return self.evaluate((d,))
+
+    def to_list(self):
+        """The dense coefficients as 'p/q' strings."""
+        return [format_rational(c) for c in self.coeffs]
 
 
 def format_rational(x):

@@ -2,8 +2,8 @@
 
 benchmarks/tracing.py resolves the polynomial classes by module attribute
 and wraps their multiplication; benchmarks/workloads.py reads `.terms`,
-`.coeffs` and `specialize_p2` when it verifies a result.  Both files are
-imported by path and left as they are.
+`.coeffs`, `specialize_p2` and a Thom form's `.d`, `.k`, `.s`, `.x` when it
+verifies a result.  Both files are imported by path and left as they are.
 """
 
 import importlib.util
@@ -24,6 +24,8 @@ JOBS = (
     ("complete_bell", 6),
     ("partial_bell", 6, 3),
     ("node_polynomial", 5),
+    ("q_p2_closed", 3),
+    ("count_multisingular", "A1^2*A2", (16, -12, 9, 3)),
 )
 
 

@@ -20,7 +20,7 @@ from nodal_atlas.chow import (
     q_p2_extraction,
     tangent_chern,
 )
-from nodal_atlas.exact import PolyD
+from nodal_atlas.exact import PolyD, SparsePoly
 
 Q_P2_TABLE = {
     1: PolyD([3, -6, 3]),
@@ -126,7 +126,7 @@ def test_chern_principal_parts_rank():
 def test_interpolation_reproduces_extraction():
     # three values fix the extraction exactly when it is at most quadratic in d
     for n in range(1, 9):
-        assert q_p2_extraction(n).degree <= 2
+        assert len(q_p2_extraction(n).coeffs) <= 3
 
 
 def test_m_poly_range():
@@ -146,3 +146,14 @@ def test_multiple_point_degrees():
 
 def test_excess_a1a2():
     assert excess_a1a2_p2() == PolyD([144, -192, 60])
+
+
+def test_polyd_and_linear_form_inherit_the_kernel_arithmetic_and_printer():
+    own = {"__add__", "__sub__", "__neg__", "__mul__", "__eq__", "__hash__", "__str__"}
+    for cls in (PolyD, LinearForm):
+        assert issubclass(cls, SparsePoly)
+        assert not own & set(vars(cls)), cls
+    form = LinearForm(3, 0, Fraction(-1, 2), 1)
+    assert (form.d, form.k, form.s, form.x) == (3, 0, Fraction(-1, 2), 1)
+    assert str(form) == "3d - 1/2s + x"
+    assert form.to_dict() == {"d": "3", "k": "0", "s": "-1/2", "x": "1"}

@@ -110,7 +110,7 @@ def test_cn(capsys):
 def test_cn_out_of_range(capsys):
     code, _, err = run_cli(capsys, "cn", "--n", "7")
     assert code == 2
-    assert "n=7" in err
+    assert err == "error: --n must be in 1..4, got 7\n"
 
 
 def test_bell_complete(capsys):
@@ -210,6 +210,44 @@ def test_qn_n_is_bounded_before_any_work(capsys, monkeypatch):
     for fmt in ("text", "json", "csv"):
         code, out, _ = run_cli(capsys, "qn", "--n", str(cli.MAX_QN_N), "--format", fmt)
         assert code == 0 and out
+
+
+def test_library_bounds_are_checked_by_flag_before_any_work(capsys, monkeypatch):
+    from nodal_atlas.bell import MAX_R
+    from nodal_atlas.chow import Q_MAX
+    from nodal_atlas.tables import MAX_I
+
+    def refuse(*args):
+        raise AssertionError("computed with an out-of-range argument")
+
+    for name in ("node_count", "node_polynomial", "q_general", "q_p2_closed",
+                 "q_p2_extraction", "c_correction_p2", "complete_bell", "partial_bell"):
+        monkeypatch.setattr(cli, name, refuse)
+    over, q_over = MAX_I + 1, Q_MAX + 1
+    cases = [
+        (("count", "-d", "3", "--nodes", str(over)), f"--nodes must be in 0..{MAX_I}, got {over}"),
+        (("count", "-d", "3", "--nodes", "-1"), f"--nodes must be in 0..{MAX_I}, got -1"),
+        (("zr", "--r", "0"), f"--r must be in 1..{MAX_I}, got 0"),
+        (("zr", "--r", str(over)), f"--r must be in 1..{MAX_I}, got {over}"),
+        (("cn", "--n", "0"), "--n must be in 1..4, got 0"),
+        (("cn", "--n", "5"), "--n must be in 1..4, got 5"),
+        (("bell", "complete", "--n", str(MAX_R + 1)), f"--n must be in 1..{MAX_R}, got {MAX_R + 1}"),
+        (("bell", "partial", "--n", "0", "--blocks", "1"), f"--n must be in 1..{MAX_R}, got 0"),
+        (("bell", "partial", "--n", "5", "--blocks", "6"), "--blocks must be in 1..5, got 6"),
+        (("bell", "partial", "--n", "5", "--blocks", "0"), "--blocks must be in 1..5, got 0"),
+    ] + [
+        (("qn", flag, "--n", str(q_over)), f"--n with {flag} must be in 1..{Q_MAX}, got {q_over}")
+        for flag in ("--general", "--extraction", "--oracle")
+    ]
+    for argv, message in cases:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+    monkeypatch.undo()
+    for argv in (("count", "--degree", "3", "--nodes", str(MAX_I)), ("zr", "--r", "1"),
+                 ("cn", "--n", "4"), ("bell", "partial", "--n", "5", "--blocks", "5"),
+                 ("qn", "--general", "--n", str(Q_MAX))):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0 and out, argv
 
 
 def test_series_g2_default(capsys):
@@ -497,4 +535,34 @@ def test_series_output_digest(capsys):
             digest.update(out.encode())
     assert digest.hexdigest() == (
         "03096c0760e038d8ff7b03826d351ec1e9b6d53d54e48fd5a3d3a5fb5dc68f5d"
+    )
+
+
+# Every form the package prints: Q_n in each surface mode, C_n, and the
+# Thom form of each of the twelve tabulated types of codimension <= 4.
+THOM_TYPES = ("A1", "A2", "A1^2", "A3", "A1*A2", "A1^3",
+              "A4", "D4", "A1*A3", "A2^2", "A1^2*A2", "A1^4")
+
+
+def _forms_surface():
+    for mode in ("--p2", "--general", "--extraction"):
+        for n in range(1, 9):
+            yield ("qn", mode, "--n", str(n))
+    for n in range(1, 5):
+        yield ("cn", "--n", str(n))
+    for alpha in THOM_TYPES:
+        yield ("kazarian", "--type", alpha)
+
+
+def test_forms_output_digest(capsys):
+    # SHA-256 of the stdout of every printed form (argv outer, format inner),
+    # captured while PolyD and LinearForm still had printers of their own
+    digest = hashlib.sha256()
+    for argv in _forms_surface():
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "a2ff1658d079f39ac1e91af93f5b8ab081957eaacf0d1c02b9acb868eb162fa0"
     )

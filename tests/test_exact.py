@@ -57,6 +57,6 @@ def test_polyd_arithmetic():
 
 def test_polyd_trailing_zeros_normalized():
     assert PolyD([1, 0, 0]) == PolyD([1])
-    assert PolyD([0, 0]).degree == -1
+    assert PolyD([0, 0]).coeffs == ()
     assert not PolyD([0])
 

@@ -137,7 +137,7 @@ def test_format_with_commas():
 
 def test_format_keeps_separators_apart_for_a_shared_block():
     # the same block tuple prints without commas when r <= 9, with them above
-    small, large = enumerate_partitions(3)[1], enumerate_partitions(10)[1]
+    small, large = enumerate_partitions(3)[1], next(islice(iter_partitions(10), 1, None))
     assert small.blocks[0] == large.blocks[0][:2]
     assert format_partition(small) == "12|3"
     assert format_partition(large) == "1,2,3,4,5,6,7,8,9|10"
