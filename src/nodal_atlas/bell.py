@@ -56,8 +56,8 @@ def partial_bell(n, l):
     _check_r(n)
     if not 1 <= l <= n:
         raise ValueError(f"partial_bell: need 1 <= l <= n, got l={l}, n={n}")
-    terms = complete_bell(n).terms
-    return SparsePoly(n, {e: c for e, c in terms.items() if sum(e) == l})
+    complete = complete_bell(n)
+    return complete._new({e: c for e, c in complete.terms.items() if sum(e) == l})
 
 
 def eval_complete_bell(r, values):

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import mul
 
 from . import chow, kazarian
 from .exact import PolyD
@@ -87,10 +89,13 @@ KNOWN_X_CHANNEL_DEFECT = {"order": 15, "residual": Fraction(992, 3)}
 
 @lru_cache(maxsize=None)
 def _signature_terms(r):
-    """The monomials of the r-th complete Bell polynomial as
-    (count, ((block size, multiplicity), ...)), one per integer partition."""
+    """The monomials of the r-th complete Bell polynomial, one per integer
+    partition, as (count, indices).  The power table of an evaluation holds
+    x_i^0..x_i^{r//i} for i = 1..r in turn, so each (block size i,
+    multiplicity j) becomes one index into it."""
+    offsets = list(accumulate((r // i + 1 for i in range(1, r + 1)), initial=0))
     return tuple(
-        (signature_count(r, sig), tuple(sorted(sig.items())))
+        (signature_count(r, sig), tuple(offsets[i - 1] + j for i, j in sorted(sig.items())))
         for sig in integer_partition_signatures(r)
     )
 
@@ -98,14 +103,13 @@ def _signature_terms(r):
 def complete_bell_by_signatures(r, values):
     """Oracle for bell.eval_complete_bell: the p(r)-term sum over block-size
     signatures of count * prod x_i^{j_i}.  Integers stay integers; any other
-    input is evaluated in Fractions."""
+    input is evaluated in Fractions.  Each x_i^j comes from a per-call table."""
     xs = list(values[:r])
     if not all(isinstance(v, int) for v in xs):
         xs = [Fraction(v) for v in xs]
-    return sum(
-        count * math.prod(xs[i - 1] ** j for i, j in sig)
-        for count, sig in _signature_terms(r)
-    )
+    table = [p for i, x in enumerate(xs, 1) for p in accumulate([x] * (r // i), mul, initial=1)]
+    power = table.__getitem__
+    return sum(count * math.prod(map(power, indices)) for count, indices in _signature_terms(r))
 
 
 def node_count_by_signatures(r, chern):

@@ -12,9 +12,10 @@ Both rings are truncations of the sparse polynomial kernel
   class l (l^3 = 0) and H, with the formal curve degree d as a third
   variable.
 
-Both truncate eagerly at multiplication time: monomials above the surface
-dimension or the H cap can never contribute to any extracted coefficient,
-so dropping them is sound and keeps every product finite.
+Both truncate eagerly at multiplication time through the kernel's ``caps``:
+monomials above the surface dimension or the H cap can never contribute to
+any extracted coefficient, so dropping them is sound and keeps every
+product finite.
 
 What the surface ring pushes forward to, a ``LinearForm`` in the four Chern
 numbers, is the same kernel on the unit exponents; on the plane it becomes
@@ -76,13 +77,10 @@ class GradedClass(SparsePoly):
 
     __slots__ = ()
     names = ("L", "K", "x", "H")
+    caps = (((1, 1, 2, 0), 2), ((0, 0, 0, 1), H_CAP))
 
     def __init__(self, terms=None):
         super().__init__(4, terms)
-
-    @staticmethod
-    def keep(expo):
-        return expo[0] + expo[1] + 2 * expo[2] <= 2 and expo[3] <= H_CAP
 
     @classmethod
     def one(cls):
@@ -172,13 +170,10 @@ class P2Class(SparsePoly):
 
     __slots__ = ()
     names = ("l", "H", "d")
+    caps = (((1, 0, 0), 2), ((0, 1, 0), H_CAP))
 
     def __init__(self, terms=None):
         super().__init__(3, terms)
-
-    @staticmethod
-    def keep(expo):
-        return expo[0] <= 2 and expo[1] <= H_CAP
 
     def coefficient(self, e_l, e_h):
         """The l^e_l H^e_h coefficient, a polynomial in d."""

@@ -249,11 +249,6 @@ def _cmd_kazarian(args):
     return EXIT_OK
 
 
-def _series_payload(name, series):
-    return {"command": "series", "series": name, "order": series.order,
-            "coefficients": series.to_list()}
-
-
 def _cmd_series(args):
     order = args.order
     _check_range("--order", order, 0, MAX_SERIES_ORDER)
@@ -264,16 +259,17 @@ def _cmd_series(args):
             raise ValueError("--gyz-check needs --channel (one of d, k, s, x)")
         residual = gyz_channel_residual(args.channel, table_order, all_forms())
         ok = residual.is_zero()
-        text = ["residual: 0"] if ok else [f"residual: {residual.to_list()}"]
+        coefficients = residual.to_list()
+        text = ["residual: 0"] if ok else [f"residual: {coefficients}"]
         payload = {
             "command": "series",
             "series": "gyz-residual",
             "channel": args.channel,
             "order": table_order,
             "zero": ok,
-            "coefficients": residual.to_list(),
+            "coefficients": coefficients,
         }
-        rows = [["n", "coefficient"]] + [[n, c] for n, c in enumerate(residual.to_list())]
+        rows = [["n", "coefficient"]] + [[n, c] for n, c in enumerate(coefficients)]
         _emit(args, text, payload, rows)
         return EXIT_OK if ok else EXIT_INCONSISTENT
     if args.which == "g2":
@@ -284,9 +280,11 @@ def _cmd_series(args):
         series, name = recover_b1(table_order, all_forms()), "b1"
     else:
         series, name = recover_b2(table_order, all_forms()), "b2"
-    payload = _series_payload(name, series)
-    rows = [["n", "coefficient"]] + [[n, c] for n, c in enumerate(series.to_list())]
-    _emit(args, [", ".join(series.to_list())], payload, rows)
+    coefficients = series.to_list()
+    payload = {"command": "series", "series": name, "order": series.order,
+               "coefficients": coefficients}
+    rows = [["n", "coefficient"]] + [[n, c] for n, c in enumerate(coefficients)]
+    _emit(args, [", ".join(coefficients)], payload, rows)
     return EXIT_OK
 
 

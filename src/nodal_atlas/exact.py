@@ -3,6 +3,12 @@ polynomial kernel that every polynomial in the package shares: the Bell
 polynomials, the truncated intersection rings, the linear forms in the Chern
 numbers and, as ``PolyD``, the polynomials in the formal curve degree d.
 
+Products and powers run on packed exponents: each exponent tuple becomes
+one int with a bit field per variable, sized from the operands' largest
+exponents, so a monomial product is one integer add.  A truncated ring's
+caps ride along as guard fields, so dropping a monomial costs one add and
+one mask.  Results are unpacked to tuple keys once, at the end.
+
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  Nothing
 in this package ever touches floating point.
@@ -12,7 +18,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, and_, mul, rshift
 
 
 def binomial(n, k):
@@ -30,11 +37,43 @@ def binomial(n, k):
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
+    if isinstance(x, (int, str)):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
+
+
+def _layout(tops, caps):
+    """(units, shifts, masks, off, mask) packing monomials e <= tops as
+    sum_i e_i units[i]: a field per variable as wide as tops[i] needs, then
+    per cap (weights w, bound b) a guard field holding w.e below a flag bit
+    above b.  Operands are kept, so a guard sum is at most 2b; adding ``off``
+    sets the flag exactly where it exceeds b, so a packed sum k is kept iff
+    ``(k + off) & mask`` is 0."""
+    widths = [top.bit_length() for top in tops]
+    shifts = list(accumulate(widths, initial=0))
+    shift = shifts.pop()
+    units = [1 << s for s in shifts]
+    off = mask = 0
+    for weights, bound in caps:
+        flag = 1 << bound.bit_length()
+        units = [u + (w << shift) for u, w in zip(units, weights)]
+        off += (flag - 1 - bound) << shift
+        mask += flag << shift
+        shift += flag.bit_length()
+    return units, shifts, [(1 << w) - 1 for w in widths], off, mask
+
+
+def _product(a, b, off, mask):
+    """Product of two packed polynomials, monomials failing a cap dropped."""
+    out = {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            k = k1 + k2
+            if k in out:
+                out[k] += c1 * c2
+            elif not (k + off) & mask:
+                out[k] = c1 * c2
+    return {k: c for k, c in out.items() if c}
 
 
 class SparsePoly:
@@ -42,30 +81,30 @@ class SparsePoly:
     Fraction coefficients.
 
     All exponent tuples share one arity; zero coefficients are never stored.
-    A truncated ring is a subclass whose ``keep(expo)`` rejects the monomials
-    it drops; they must span an ideal, so that dropping them as soon as they
-    appear is sound.  ``names`` names the variables when printing, and
-    ``coeff_sep`` is the text between a coefficient and its monomial.
+    A truncated ring is a subclass that declares ``caps``, pairs
+    (weights, bound) that keep a monomial e only while weights.e <= bound
+    for every pair.  The dropped monomials span an ideal, so dropping them
+    as soon as they appear is sound.  ``names`` names the variables when
+    printing, and ``coeff_sep`` is the text between a coefficient and its
+    monomial.
     """
 
     __slots__ = ("arity", "terms")
     names = None
     coeff_sep = "*"
-
-    @staticmethod
-    def keep(expo):
-        return True
+    caps = ()
 
     def __init__(self, arity, terms=None):
         self.arity = arity
         self.terms = {}
+        caps = self.caps
         for expo, c in (terms or {}).items():
             expo = tuple(expo)
             if len(expo) != arity:
                 raise ValueError(f"exponent {expo} has wrong arity (want {arity})")
             if not isinstance(c, (int, Fraction)):
                 c = Fraction(c)
-            if c and self.keep(expo):
+            if c and (not caps or all(sum(map(mul, w, expo)) <= b for w, b in caps)):
                 self.terms[expo] = c
 
     def _new(self, terms):
@@ -84,11 +123,7 @@ class SparsePoly:
         return None
 
     def __eq__(self, other):
-        return (
-            type(other) is type(self)
-            and self.arity == other.arity
-            and self.terms == other.terms
-        )
+        return type(other) is type(self) and (self.arity, self.terms) == (other.arity, other.terms)
 
     def __hash__(self):
         return hash((self.arity, frozenset(self.terms.items())))
@@ -120,37 +155,48 @@ class SparsePoly:
     def __rsub__(self, other):
         return (-self) + other
 
+    def _tops(self):
+        """The largest exponent of each variable; ValueError if negative."""
+        columns = list(zip(*self.terms)) or [(0,)] * self.arity
+        if min(map(min, columns)) < 0:
+            raise ValueError(f"cannot pack a negative exponent: {self!r}")
+        return list(map(max, columns))
+
+    def _pack(self, units):
+        return {sum(map(mul, e, units)): c for e, c in self.terms.items()}
+
+    def _unpack(self, packed, shifts, masks):
+        return self._new({
+            tuple(map(and_, map(rshift, repeat(k), shifts), masks)): c
+            for k, c in packed.items()
+        })
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self._new({e: c * other for e, c in self.terms.items()} if other else {})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        keep = self.keep
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                expo = tuple(map(add, e1, e2))
-                if expo in out:
-                    out[expo] += c1 * c2
-                elif keep(expo):
-                    out[expo] = c1 * c2
-        return self._new({e: c for e, c in out.items() if c})
+        tops = list(map(add, self._tops(), other._tops()))
+        units, shifts, masks, off, mask = _layout(tops, self.caps)
+        packed = _product(self._pack(units), other._pack(units), off, mask)
+        return self._unpack(packed, shifts, masks)
 
     __rmul__ = __mul__
 
     def __pow__(self, e):
+        """Square-and-multiply, packed once for the e-th power's exponents."""
         if e < 0:
             raise ValueError("negative power")
-        result = self._new({(0,) * self.arity: 1})
-        base = self
+        units, shifts, masks, off, mask = _layout([e * t for t in self._tops()], self.caps)
+        result, base = {0: 1}, self._pack(units)
         while e:
             if e & 1:
-                result = result * base
+                result = _product(result, base, off, mask)
             e >>= 1
             if e:
-                base = base * base
-        return result
+                base = _product(base, base, off, mask)
+        return self._unpack(result, shifts, masks)
 
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), 0)

@@ -30,8 +30,9 @@ vanishes exactly when that one does.
 
 Delta, D G_2 and its powers have integer coefficients, so they are built as
 integer tuples: Delta by Jacobi's identity, and the powers of D G_2 and the
-two logarithms once per truncation order.  Fractions enter only where a
-division happens (log, exp and the 1/l weights of the channel sums).
+two logarithms (times lcm(1..T)) once per truncation order T.  The channel
+series, that is the residuals, log B_1 and log B_2, are sums of integer
+numerators over 24 lcm(1..T), with one Fraction per output coefficient.
 Results are PowerSeries built fresh on every call, so no caller can alter a
 cached value.
 """
@@ -59,7 +60,7 @@ class PowerSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=None):
-        cs = [Fraction(c) for c in coeffs]
+        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
         if order is None:
             order = len(cs) - 1
         if order < 0:
@@ -68,14 +69,6 @@ class PowerSeries:
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self.coeffs = cs
         self.order = order
-
-    @classmethod
-    def zero(cls, order):
-        return cls([], order)
-
-    @classmethod
-    def one(cls, order):
-        return cls([1], order)
 
     def __getitem__(self, n):
         if n < 0:
@@ -94,22 +87,8 @@ class PowerSeries:
         return all(c == 0 for c in self.coeffs)
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PowerSeries([other], self.order)
         t = min(self.order, other.order)
-        return PowerSeries(
-            [self.coeffs[n] + other.coeffs[n] for n in range(t + 1)], t
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return PowerSeries([-c for c in self.coeffs], self.order)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = PowerSeries([other], self.order)
-        return self + (-other)
+        return PowerSeries([a + b for a, b in zip(self.coeffs[: t + 1], other.coeffs)], t)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -249,17 +228,18 @@ def _dg2_powers(order):
 
 
 @lru_cache(maxsize=TABLE_ORDER + 1)
-def _log_dg2_over_q(order):
-    """Coefficients of log(D G_2/q) through q^order, as a tuple."""
+def _log_numerators(order):
+    """lcm(1..order) times the coefficients of log(D G_2/q) and of
+    log(Delta D^2 G_2/q^2) through q^order, as two integer tuples: the inputs
+    are integral, so each L_n = m_n / n of series_log divides by n only."""
+    den = math.lcm(*range(1, order + 1))
     dg2_over_q = [(n + 1) * _sigma(n + 1) for n in range(order + 1)]
-    return tuple(series_log(dg2_over_q).coeffs)
-
-
-@lru_cache(maxsize=TABLE_ORDER + 1)
-def _log_disc_d2g2_over_q2(order):
-    """Coefficients of log(Delta D^2 G_2/q^2) through q^order, as a tuple."""
     d2g2_over_q = [(n + 1) ** 2 * _sigma(n + 1) for n in range(order + 1)]
-    return tuple(series_log(_mul(_delta_over_q(order), d2g2_over_q, order)).coeffs)
+    disc_d2g2_over_q2 = _mul(_delta_over_q(order), d2g2_over_q, order)
+    return tuple(
+        tuple(int(den * c) for c in series_log(u).coeffs)
+        for u in (dg2_over_q, disc_d2g2_over_q2)
+    )
 
 
 def _check_table(order, forms):
@@ -271,27 +251,41 @@ def _check_table(order, forms):
         raise ValueError(f"need {order} table rows, got {len(forms)}")
 
 
-def _channel_sum(order, coeffs):
-    """sum_{l>=1} (-1)^{l-1} coeffs[l-1] (D G_2)^l / l through q^order.
+def _denominator(order):
+    """The common denominator of every channel series through q^order."""
+    return 24 * math.lcm(*range(1, order + 1))
 
-    The weights are scaled by lcm(1..order), so the sum stays integral until
-    one division per coefficient.
-    """
+
+def _channel_sum(order, coeffs):
+    """_denominator(order) times sum_{l>=1} (-1)^{l-1} coeffs[l-1] (D G_2)^l / l
+    through q^order, as a list of integers."""
     powers = _dg2_powers(order)
-    den = math.lcm(*range(1, order + 1))
+    den = _denominator(order)
     weights = [(-1) ** l * coeffs[l] * (den // (l + 1)) for l in range(order)]
-    out = [0] + [
-        Fraction(sum(weights[l] * powers[l][n] for l in range(n)), den)
-        for n in range(1, order + 1)
-    ]
-    return PowerSeries(out, order)
+    return [0] + [sum(weights[l] * powers[l][n] for l in range(n))
+                  for n in range(1, order + 1)]
+
+
+def _series(order, numerators):
+    """The series with the given numerators over _denominator(order)."""
+    den = _denominator(order)
+    return PowerSeries([Fraction(a, den) for a in numerators], order)
+
+
+def _log_b1(order, forms):
+    return _channel_sum(order, [f.F - f.G for f in forms])
+
+
+def _log_b2(order, forms):
+    log_dg2 = _log_numerators(order)[0]
+    return [a + 12 * b for a, b in zip(_channel_sum(order, [f.E for f in forms]), log_dg2)]
 
 
 def recover_log_b1(order, forms):
     """log B_1 through q^order: c_n = sum_r y_r(n) (-1)^{r-1} (F_r - G_r)/r,
     with y_r(n) the q^n coefficient of (D G_2)^r."""
     _check_table(order, forms)
-    return _channel_sum(order, [f.F - f.G for f in forms])
+    return _series(order, _log_b1(order, forms))
 
 
 def recover_log_b1_direct(order, forms):
@@ -299,8 +293,7 @@ def recover_log_b1_direct(order, forms):
     sum_l (-1)^{l-1} (F_l - G_l) t^l / l; an independent code path."""
     _check_table(order, forms)
     t = dg2(order)
-    acc = PowerSeries.zero(order)
-    t_pow = PowerSeries.one(order)
+    acc, t_pow = PowerSeries([], order), PowerSeries([1], order)
     for l in range(1, order + 1):
         t_pow = t_pow * t
         acc = acc + t_pow * Fraction((-1) ** (l - 1) * (forms[l - 1].F - forms[l - 1].G), l)
@@ -315,8 +308,7 @@ def recover_b1(order, forms):
 def recover_log_b2(order, forms):
     """log B_2 through q^order: 1/2 log(D G_2/q) plus the k-channel sum."""
     _check_table(order, forms)
-    log_dg2 = PowerSeries(_log_dg2_over_q(order))
-    return _channel_sum(order, [f.E for f in forms]) + log_dg2 * Fraction(1, 2)
+    return _series(order, _log_b2(order, forms))
 
 
 def recover_b2(order, forms):
@@ -329,30 +321,21 @@ def gyz_channel_residual(channel, order, forms):
     The d and x channels must vanish identically if the coefficient table is
     consistent with the quasi-modular data; the k channel vanishes by
     construction (it defines log B_2), and the s channel cancels down to the
-    x-channel residual because log B_1 is built from F_l - G_l.
+    x-channel residual because log B_1 is built from F_l - G_l.  The terms
+    are summed as integer numerators over _denominator(order).
     """
     _check_table(order, forms)
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
-    log_dg2 = PowerSeries(_log_dg2_over_q(order))
+    log_dg2, log_disc = _log_numerators(order)
     if channel == "d":
-        return _channel_sum(order, [f.D for f in forms]) - log_dg2 * Fraction(1, 2)
-    if channel == "x":
-        return (
-            _channel_sum(order, [f.G for f in forms])
-            - log_dg2 * Fraction(1, 12)
-            + PowerSeries(_log_disc_d2g2_over_q2(order)) * Fraction(1, 24)
-        )
-    if channel == "s":
-        return (
-            _channel_sum(order, [f.F for f in forms])
-            - log_dg2 * Fraction(1, 12)
-            + PowerSeries(_log_disc_d2g2_over_q2(order)) * Fraction(1, 24)
-            - recover_log_b1(order, forms)
-        )
-    # k channel
-    return (
-        _channel_sum(order, [f.E for f in forms])
-        + log_dg2 * Fraction(1, 2)
-        - recover_log_b2(order, forms)
-    )
+        terms = (_channel_sum(order, [f.D for f in forms]), [-12 * a for a in log_dg2])
+    elif channel == "k":
+        terms = (_channel_sum(order, [f.E for f in forms]), [12 * a for a in log_dg2],
+                 [-a for a in _log_b2(order, forms)])
+    else:
+        column = [f.G if channel == "x" else f.F for f in forms]
+        terms = (_channel_sum(order, column), [b - 2 * a for a, b in zip(log_dg2, log_disc)])
+        if channel == "s":
+            terms += ([-a for a in _log_b1(order, forms)],)
+    return _series(order, map(sum, zip(*terms)))

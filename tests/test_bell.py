@@ -12,7 +12,11 @@ from nodal_atlas.bell import (
     partial_bell,
 )
 from nodal_atlas.checks import complete_bell_by_signatures
-from nodal_atlas.partitions import enumerate_partitions
+from nodal_atlas.partitions import (
+    enumerate_partitions,
+    integer_partition_signatures,
+    signature_count,
+)
 
 # Bell numbers B_0..B_15
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597,
@@ -111,6 +115,29 @@ def test_dual_path_evaluation_random():
             got = eval_complete_bell(r, fracs)
             assert got == complete_bell_by_signatures(r, fracs)
             assert got == complete_bell(r).evaluate(fracs)
+
+
+def test_tabled_oracle_equals_the_fresh_power_product():
+    # the signature sum with every x_i^j from the per-call table, against
+    # count * math.prod of fresh powers over the same signatures
+    rng = random.Random(412)
+    for r in range(1, 16):
+        for _ in range(2):
+            ints = [rng.randint(-50, 50) for _ in range(r)]
+            mixed = list(ints)
+            mixed[rng.randrange(r)] = Fraction(rng.randint(-50, 50), rng.randint(2, 9))
+            for values in (
+                [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(r)],
+                mixed,
+                ints + [Fraction(1, 3)],  # past r: still evaluated in integers
+            ):
+                xs = values[:r] if values is not mixed else [Fraction(v) for v in values]
+                want = sum(
+                    signature_count(r, sig) * math.prod(xs[i - 1] ** j for i, j in sig.items())
+                    for sig in integer_partition_signatures(r)
+                )
+                got = complete_bell_by_signatures(r, values)
+                assert got == want and type(got) is type(want)
 
 
 def test_eval_r_zero():

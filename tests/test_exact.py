@@ -1,9 +1,11 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from nodal_atlas.exact import PolyD, binomial, format_rational
+from nodal_atlas.chow import H_CAP, GradedClass, P2Class
+from nodal_atlas.exact import PolyD, SparsePoly, binomial, format_rational
 
 
 def test_binomial_row_sums():
@@ -60,3 +62,96 @@ def test_polyd_trailing_zeros_normalized():
     assert PolyD([0, 0]).coeffs == ()
     assert not PolyD([0])
 
+
+def _schoolbook(a, b, keep):
+    """Tuple-keyed product of two term maps, dropping monomials keep rejects."""
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            expo = tuple(x + y for x, y in zip(e1, e2))
+            if keep(expo):
+                out[expo] = out.get(expo, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _graded_keep(e):
+    return e[0] + e[1] + 2 * e[2] <= 2 and e[3] <= H_CAP
+
+
+def _plane_keep(e):
+    return e[0] <= 2 and e[1] <= H_CAP
+
+
+def _coeff(rng, fractions=True):
+    c = rng.randint(-9, 9)
+    return Fraction(c, rng.randint(1, 7)) if fractions and rng.random() < 0.5 else c
+
+
+def _random_terms(rng, arity, n, top, fractions=True):
+    return {tuple(rng.randint(0, top) for _ in range(arity)): _coeff(rng, fractions)
+            for _ in range(n)}
+
+
+# exponents at and just past the caps of each truncated ring; the curve
+# degree d of P2Class is uncapped, so it also crosses the 127/255 widths
+_CAPPED_DRAWS = (
+    (GradedClass, _graded_keep, lambda rng: (
+        rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, H_CAP + 1))),
+    (P2Class, _plane_keep, lambda rng: (
+        rng.randint(0, 3), rng.randint(0, H_CAP + 1), rng.choice((0, 1, 2, 127, 128, 255, 256)))),
+)
+
+
+def test_packed_products_equal_schoolbook_products():
+    rng = random.Random(1207)
+    for arity in range(1, 16):
+        for top in (1, 3, 127, 128, 255, 256, 1000):
+            a = SparsePoly(arity, _random_terms(rng, arity, rng.randint(0, 6), top))
+            b = SparsePoly(arity, _random_terms(rng, arity, rng.randint(0, 6), top))
+            assert (a * b).terms == _schoolbook(a.terms, b.terms, lambda e: True)
+    for ring, keep, draw in _CAPPED_DRAWS:
+        for _ in range(200):
+            operands = []
+            for _ in range(2):
+                terms = {draw(rng): _coeff(rng) for _ in range(rng.randint(1, 12))}
+                operands.append(ring(terms))
+                assert operands[-1].terms == {e: c for e, c in terms.items() if c and keep(e)}
+            a, b = operands
+            assert (a * b).terms == _schoolbook(a.terms, b.terms, keep)
+
+
+def test_packed_powers_equal_repeated_schoolbook_products():
+    rng = random.Random(3301)
+    # (ring, arity, keep, draws, top exponent of the random terms)
+    cases = [(lambda t, a=arity: SparsePoly(a, t), arity, lambda e: True, 2, 2)
+             for arity in (1, 15)]
+    cases += [(GradedClass, 4, _graded_keep, 4, 1), (P2Class, 3, _plane_keep, 4, 1)]
+    for make, arity, keep, draws, top in cases:
+        for _ in range(2):
+            # kept terms and a constant, so every power of the base is nonzero
+            terms = {}
+            while not terms:
+                terms = _random_terms(rng, arity, draws, top, fractions=False)
+                terms = {e: c for e, c in terms.items() if c and any(e) and keep(e)}
+            base = make({**terms, (0,) * arity: rng.randint(1, 3)})
+            want = {(0,) * arity: 1}
+            for e in range(26):
+                assert (base**e).terms == want, (arity, e)
+                want = _schoolbook(want, base.terms, keep)
+            assert len(want) > 1
+
+
+def test_packed_power_of_a_binomial():
+    x_plus_1 = SparsePoly(1, {(1,): 1, (0,): 1})
+    assert (x_plus_1**300).terms == {(k,): math.comb(300, k) for k in range(301)}
+    assert (GradedClass.gen_H() + 1) ** 300 == GradedClass(
+        {(0, 0, 0, k): math.comb(300, k) for k in range(H_CAP + 1)}
+    )
+
+
+def test_negative_exponent_raises_when_packed():
+    bad = SparsePoly(2, {(1, -1): 1})
+    good = SparsePoly(2, {(1, 0): 1})
+    for op in (lambda: bad * good, lambda: good * bad, lambda: bad**2):
+        with pytest.raises(ValueError):
+            op()

@@ -73,3 +73,27 @@ def test_no_unused_imports():
         used = set().union(*(names for _, names in statements))
         unused += [f"{path.name}:{line}:{name}" for line, name in imports if name not in used]
     assert not unused, f"imported names never used: {unused}"
+
+
+def test_one_multiplication_kernel():
+    # polynomials multiply in SparsePoly and q-series in PowerSeries (until
+    # q-series become plain coefficient tuples); a truncated ring declares
+    # caps instead of a keep predicate
+    owners, keep = set(), []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            names = set()
+            for stmt in node.body:
+                if isinstance(stmt, ast.FunctionDef):
+                    names.add(stmt.name)
+                elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                    targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                    names |= {t.id for t in targets if isinstance(t, ast.Name)}
+            if names & {"__mul__", "__rmul__", "__pow__"}:
+                owners.add(node.name)
+            if "keep" in names:
+                keep.append(f"{path.name}:{node.name}")
+    assert owners <= {"SparsePoly", "PowerSeries"}, f"classes with their own products: {owners}"
+    assert not keep, f"classes that define keep: {keep}"

@@ -84,14 +84,19 @@ def mobius_by_recursion(pi):
     return _mobius_by_recursion(pi.r)[pi]
 
 
-def test_partition_counts_are_bell_numbers():
-    for r in range(1, 11):
-        assert len(enumerate_partitions(r)) == BELL[r]
+@pytest.fixture(scope="module")
+def streams():
+    """Every partition of r = 1..10, streamed once for the tests that read them all."""
+    return {r: enumerate_partitions(r) for r in range(1, 11)}
 
 
-def test_stream_matches_recursive_enumeration():
-    for r in range(1, 11):
-        streamed = list(iter_partitions(r))
+def test_partition_counts_are_bell_numbers(streams):
+    for r, streamed in streams.items():
+        assert len(streamed) == BELL[r]
+
+
+def test_stream_matches_recursive_enumeration(streams):
+    for r, streamed in streams.items():
         assert [pi.blocks for pi in streamed] == partition_blocks_by_recursion(r)
         assert all(pi.r == r for pi in streamed)
 

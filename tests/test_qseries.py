@@ -7,6 +7,7 @@ import pytest
 
 from nodal_atlas import qseries
 from nodal_atlas.qseries import (
+    CHANNELS,
     TABLE_ORDER,
     PowerSeries,
     d_operator,
@@ -136,6 +137,43 @@ def test_channel_residuals_by_construction():
         "x", TABLE_ORDER, forms
     )
     assert gyz_channel_residual("s", 14, forms).is_zero()
+
+
+def _dense_channel_sum(t, coeffs):
+    """sum_l (-1)^{l-1} coeffs[l-1] t^l / l by dense series products."""
+    acc, t_pow = PowerSeries([], t.order), PowerSeries([1], t.order)
+    for l in range(1, t.order + 1):
+        t_pow = t_pow * t
+        acc = acc + t_pow * Fraction((-1) ** (l - 1) * coeffs[l - 1], l)
+    return acc
+
+
+def test_integer_residuals_equal_the_series_composition():
+    # every channel residual and both recovered logs against the Fraction
+    # series composition the integer numerators replaced, at every order
+    forms = all_forms()
+    D, E, F, G = ([getattr(f, c) for f in forms] for c in "DEFG")
+    for order in range(TABLE_ORDER + 1):
+        t = PowerSeries([0] + [n * SIGMA[n - 1] for n in range(1, order + 1)], order)
+        log_dg2 = series_log(PowerSeries([(n + 1) * SIGMA[n] for n in range(order + 1)]))
+        d2g2_over_q = PowerSeries([(n + 1) ** 2 * SIGMA[n] for n in range(order + 1)])
+        delta_over_q = PowerSeries(discriminant(order + 1).coeffs[1:])
+        log_disc = series_log(delta_over_q * d2g2_over_q)
+        modular = log_dg2 * Fraction(-1, 12) + log_disc * Fraction(1, 24)
+        log_b1 = _dense_channel_sum(t, [f - g for f, g in zip(F, G)])
+        log_b2 = _dense_channel_sum(t, E) + log_dg2 * Fraction(1, 2)
+        want = {
+            "d": _dense_channel_sum(t, D) + log_dg2 * Fraction(-1, 2),
+            "k": _dense_channel_sum(t, E) + log_dg2 * Fraction(1, 2) + log_b2 * -1,
+            "s": _dense_channel_sum(t, F) + modular + log_b1 * -1,
+            "x": _dense_channel_sum(t, G) + modular,
+        }
+        for channel in CHANNELS:
+            got = gyz_channel_residual(channel, order, forms)
+            assert (got.order, got.coeffs) == (order, want[channel].coeffs), (channel, order)
+        for got, series in ((recover_log_b1(order, forms), log_b1),
+                            (recover_log_b2(order, forms), log_b2)):
+            assert (got.order, got.coeffs) == (order, series.coeffs), order
 
 
 def test_channel_validation():
