@@ -12,6 +12,7 @@ import csv
 import json
 import sys
 from functools import lru_cache
+from itertools import chain
 
 from . import checks
 from .bell import MAX_R, complete_bell, partial_bell
@@ -96,14 +97,11 @@ def _surface(args):
 
 def _emit(args, text_lines, payload, csv_rows=None):
     if args.format == "text":
-        for line in text_lines:
-            print(line)
+        sys.stdout.writelines(f"{line}\n" for line in text_lines)
     elif args.format == "json":
         print(json.dumps(payload, indent=2))
     else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
-        for row in csv_rows or []:
-            writer.writerow(row)
+        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows or [])
 
 
 def _cmd_count(args):
@@ -225,8 +223,8 @@ def _cmd_partitions(args):
                    "partitions": records}
         _emit(args, [], payload)
     else:
-        rows = [[format_partition(pi), len(pi), mobius_coefficient(pi)] for pi in parts]
-        _emit(args, [], None, [["partition", "blocks", "mobius"]] + rows)
+        rows = ([format_partition(pi), len(pi), mobius_coefficient(pi)] for pi in parts)
+        _emit(args, [], None, chain([["partition", "blocks", "mobius"]], rows))
     return EXIT_OK
 
 

@@ -12,11 +12,15 @@ import math
 # Largest ground set enumerated: B_12 = 4,213,597 partitions.
 MAX_R = 12
 
+# (-1)^(i-1) (i-1)! for block sizes i = 1..MAX_R, at index i - 1
+_BLOCK_MOBIUS = tuple((-1) ** i * math.factorial(i) for i in range(MAX_R))
+
 
 class SetPartition:
     """A partition of the ground set {1,...,r} into disjoint nonempty blocks."""
 
-    __slots__ = ("blocks", "r")
+    # mobius is derived from the blocks, so equality and hashing ignore it
+    __slots__ = ("blocks", "r", "mobius")
 
     def __init__(self, blocks, r=None):
         canon = sorted((tuple(sorted(b)) for b in blocks), key=lambda b: b[0])
@@ -26,6 +30,11 @@ class SetPartition:
             raise ValueError(f"blocks {canon} do not partition {{1,...,{n}}}")
         self.blocks = tuple(canon)
         self.r = n
+        mobius = 1
+        for b in canon:
+            i = len(b)
+            mobius *= _BLOCK_MOBIUS[i - 1] if i <= MAX_R else (-1) ** (i - 1) * math.factorial(i - 1)
+        self.mobius = mobius
 
     def __eq__(self, other):
         return (
@@ -74,14 +83,6 @@ def format_partition(pi):
     return "|".join([text[b] for b in pi.blocks])
 
 
-def _trusted(blocks, r):
-    """A SetPartition from blocks already in canonical form, unchecked."""
-    pi = object.__new__(SetPartition)
-    pi.blocks = blocks
-    pi.r = r
-    return pi
-
-
 def iter_partitions(r):
     """Every set partition of {1,...,r}, canonical, each exactly once, lazily.
 
@@ -92,7 +93,11 @@ def iter_partitions(r):
     stack of prefixes.  Adding e, the largest element so far, to block j of a
     prefix, or opening the block (e,), keeps every block sorted and the blocks
     ordered by least element; untouched block tuples are shared with the
-    prefix.
+    prefix.  Each prefix carries its Moebius coefficient down the walk:
+    adding e to a block of size s multiplies it by -s, and opening a block
+    leaves it unchanged.  At the last level the grown element is always r, so
+    each block b + (r,) is built once per walk and shared by every partition
+    in which r joins b.
     """
     if not 1 <= r <= MAX_R:
         raise ValueError(f"iter_partitions: r must be in 1..{MAX_R}, got {r}")
@@ -100,19 +105,32 @@ def iter_partitions(r):
 
 
 def _walk(r):
-    stack = [(1, ())]  # (next element, blocks of the prefix 1..next-1)
+    new = object.__new__
+    joined = {}  # block b -> b + (r,), valid only within this walk
+    stack = [(1, (), 1)]  # (next element, blocks of the prefix 1..next-1, their Moebius)
     while stack:
-        e, blocks = stack.pop()
-        n = len(blocks)
+        e, blocks, mobius = stack.pop()
         if e == r:
-            for j in range(n):
-                yield _trusted(blocks[:j] + (blocks[j] + (e,),) + blocks[j + 1:], r)
-            yield _trusted(blocks + ((e,),), r)
+            row = [*blocks]
+            for j, b in enumerate(blocks):
+                grown = joined.get(b)
+                if grown is None:
+                    grown = joined[b] = b + (r,)
+                row[j] = grown
+                pi = new(SetPartition)
+                pi.blocks, pi.r, pi.mobius = tuple(row), r, -len(b) * mobius
+                row[j] = b
+                yield pi
+            pi = new(SetPartition)
+            pi.blocks, pi.r, pi.mobius = blocks + ((r,),), r, mobius
+            yield pi
         else:
             # pushed last-first, so that block 0 is popped first
-            stack.append((e + 1, blocks + ((e,),)))
-            for j in range(n - 1, -1, -1):
-                stack.append((e + 1, blocks[:j] + (blocks[j] + (e,),) + blocks[j + 1:]))
+            stack.append((e + 1, blocks + ((e,),), mobius))
+            for j in range(len(blocks) - 1, -1, -1):
+                b = blocks[j]
+                child = blocks[:j] + (b + (e,),) + blocks[j + 1:]
+                stack.append((e + 1, child, -len(b) * mobius))
 
 
 def enumerate_partitions(r):
@@ -120,20 +138,13 @@ def enumerate_partitions(r):
     return list(iter_partitions(r))
 
 
-# (-1)^(i-1) (i-1)! for block sizes i = 1..MAX_R, at index i - 1
-_BLOCK_MOBIUS = tuple((-1) ** i * math.factorial(i) for i in range(MAX_R))
-
-
 def mobius_coefficient(pi):
     """Moebius coefficient of the interval from the all-singletons partition.
 
-    Product over blocks of (-1)^(size-1) * (size-1)!.
+    Product over blocks of (-1)^(size-1) * (size-1)!, held on the partition:
+    carried down the walk when streamed, computed by the constructor otherwise.
     """
-    n = 1
-    for b in pi.blocks:
-        i = len(b)
-        n *= _BLOCK_MOBIUS[i - 1] if i <= MAX_R else (-1) ** (i - 1) * math.factorial(i - 1)
-    return n
+    return pi.mobius
 
 
 def signature_count(r, sig):

@@ -566,3 +566,18 @@ def test_forms_output_digest(capsys):
     assert digest.hexdigest() == (
         "a2ff1658d079f39ac1e91af93f5b8ab081957eaacf0d1c02b9acb868eb162fa0"
     )
+
+
+def test_partitions_output_digest(capsys):
+    # SHA-256 of the stdout of `partitions --r 8` without and with --mobius
+    # (flag outer, format inner), captured while each leaf of the walk was
+    # built by a helper and its Moebius coefficient looped over the blocks
+    digest = hashlib.sha256()
+    for flags in ((), ("--mobius",)):
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, "partitions", "--r", "8", *flags, "--format", fmt)
+            assert (code, err) == (0, ""), (flags, fmt)
+            digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "2096b4859aca0f025702bb47b6b8c0d1d6337dd955cffad34cad55f004fa195b"
+    )

@@ -1,9 +1,10 @@
 """The package keeps only what production code calls.
 
-A public top-level function or class in ``src/nodal_atlas`` must be used by
-name somewhere else in the package or in the benchmark; a test is not
-enough (oracles live in ``checks.py`` and ``tests/``).  No module may import
-a name it never uses.  Both checks parse the source with ``ast``.
+A public top-level function or class in ``src/nodal_atlas``, and a private
+top-level function, must be used by name somewhere else in the package or in
+the benchmark; a test is not enough (oracles live in ``checks.py`` and
+``tests/``).  No module may import a name it never uses.  The checks parse
+the source with ``ast``.
 """
 
 import ast
@@ -49,7 +50,9 @@ def _scan(path):
     return statements, imports
 
 
-def test_every_public_definition_has_a_production_caller():
+def _uncalled(selected):
+    """`module:name` of each top-level definition in the package that
+    `selected` picks and that no production code other than itself uses."""
     defined = {}  # name -> file defining it
     used = set()
     for path in MODULES + BENCHMARKS:
@@ -57,13 +60,23 @@ def test_every_public_definition_has_a_production_caller():
             if (
                 path in MODULES
                 and isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-                and not stmt.name.startswith("_")
+                and selected(stmt)
             ):
                 defined[stmt.name] = path.name
                 names = names - {stmt.name}  # recursion is not a caller
             used |= names
-    dead = sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+    return sorted(f"{module}:{name}" for name, module in defined.items() if name not in used)
+
+
+def test_every_public_definition_has_a_production_caller():
+    dead = _uncalled(lambda stmt: not stmt.name.startswith("_"))
     assert not dead, f"public definitions that no production code uses: {dead}"
+
+
+def test_every_private_function_has_a_production_caller():
+    # a helper that production code stopped calling is dead code too
+    dead = _uncalled(lambda stmt: isinstance(stmt, ast.FunctionDef) and stmt.name.startswith("_"))
+    assert not dead, f"private functions that no production code calls: {dead}"
 
 
 def test_no_unused_imports():

@@ -84,12 +84,6 @@ def mobius_by_recursion(pi):
     return _mobius_by_recursion(pi.r)[pi]
 
 
-@pytest.fixture(scope="module")
-def streams():
-    """Every partition of r = 1..10, streamed once for the tests that read them all."""
-    return {r: enumerate_partitions(r) for r in range(1, 11)}
-
-
 def test_partition_counts_are_bell_numbers(streams):
     for r, streamed in streams.items():
         assert len(streamed) == BELL[r]
@@ -101,12 +95,21 @@ def test_stream_matches_recursive_enumeration(streams):
         assert all(pi.r == r for pi in streamed)
 
 
+def test_interleaved_walks_keep_their_blocks_apart():
+    # each walk shares the blocks that its own r joins, and no other walk's
+    pairs = list(zip(iter_partitions(5), iter_partitions(6)))
+    assert [a.blocks for a, _ in pairs] == partition_blocks_by_recursion(5)
+    assert [b.blocks for _, b in pairs] == partition_blocks_by_recursion(6)[:BELL[5]]
+
+
 def test_streamed_partitions_equal_validated_ones():
-    # the stream skips the canonicalisation of the public constructor
+    # the stream skips the canonicalisation of the public constructor and
+    # carries the Moebius coefficient the constructor computes from the blocks
     for r in range(1, 9):
         for pi in iter_partitions(r):
             checked = SetPartition(pi.blocks)
             assert pi == checked and hash(pi) == hash(checked)
+            assert checked.mobius == pi.mobius
 
 
 def test_stream_is_lazy():
@@ -182,6 +185,14 @@ def test_mobius_of_a_block_beyond_max_r():
     assert mobius_coefficient(pi) == -math.factorial(12)
     assert mobius_coefficient(_top(13)) == math.factorial(12)
     assert mobius_coefficient(_top(12)) == -math.factorial(11)
+
+
+def test_carried_mobius_matches_closed_product(streams):
+    # (-1)^(|B|-1) (|B|-1)! for block sizes |B| = 1..10, at index |B|
+    per_block = [None] + [(-1) ** (i - 1) * math.factorial(i - 1) for i in range(1, 11)]
+    for streamed in streams.values():
+        for pi in streamed:
+            assert mobius_coefficient(pi) == math.prod(per_block[len(b)] for b in pi.blocks)
 
 
 def test_mobius_matches_defining_recursion():
