@@ -6,11 +6,13 @@ which keeps a single combinatorial source of truth with the partition-lattice
 layer; a partial polynomial is the slice of it with a given number of
 blocks.  Evaluation (for multiple-point degrees) uses the O(r^2) complete
 Bell recurrence alone; the p(r)-term signature sum is the oracle in `checks`,
-and the tests compare the two routes.  The symbolic node polynomial runs the
-same recurrence over packed integer exponents, in `tables`; numeric node
-counts there use Newton's identity instead, which needs neither binomials
-nor the division by r!.  Cached polynomials are shared: callers must not
-mutate them.
+and the tests compare the two routes.  The symbolic node polynomial, in
+`tables`, runs the same recurrence in one variable per Chern number and
+joins the four tables by the binomial convolution
+Y_n(u + v) = sum_j C(n, j) Y_j(u) Y_{n-j}(v), over packed integer exponents;
+numeric node counts there use Newton's identity instead, which needs neither
+binomials nor the division by r!.  Cached polynomials are shared: callers
+must not mutate them.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nodal_atlas import assets, tables
-from nodal_atlas.bell import SparsePoly, eval_complete_bell
+from nodal_atlas.bell import SparsePoly, eval_complete_bell, partial_bell
 from nodal_atlas.checks import node_count_by_signatures
 from nodal_atlas.chow import multiple_point_degree
 from nodal_atlas.exact import PolyD
@@ -252,6 +252,51 @@ def _node_polynomial_by_signature_powers(r):
 def test_node_polynomial_matches_signature_powers():
     for r in range(1, 10):
         assert node_polynomial(r).terms == _node_polynomial_by_signature_powers(r).terms
+
+
+def _bell_ys_by_four_variable_recurrence():
+    """Reference table: the complete Bell recurrence
+    Y_n = sum_{k=1}^{n} C(n-1, k-1) a_k Y_{n-k}, Y_0 = 1, run directly on
+    the four-variable linear forms a_k over packed exponents, with no
+    channel tables and no convolution."""
+    ys = [{0: 1}]
+    for n in range(1, MAX_I + 1):
+        y = {}
+        for k in range(1, n + 1):
+            form = a_form(k)
+            weight = math.comb(n - 1, k - 1) * form.sign_factorial()
+            prev = ys[n - k]
+            for unit, coeff in zip(tables._UNITS, (form.D, form.E, form.F, form.G)):
+                if not coeff:
+                    continue
+                c = weight * coeff
+                for key, v in prev.items():
+                    key += unit
+                    y[key] = y.get(key, 0) + c * v
+        ys.append(y)
+    return ys
+
+
+def test_node_polynomial_matches_four_variable_recurrence():
+    reference = _bell_ys_by_four_variable_recurrence()
+    assert tables._bell_ys() == reference
+    for r in range(1, MAX_I + 1):
+        r_factorial = math.factorial(r)
+        want = {tables._unpack(key): Fraction(c, r_factorial) for key, c in reference[r].items()}
+        assert node_polynomial(r).terms == want, r
+
+
+def test_channel_tables_are_partial_bell_sums():
+    # P_n(z) = sum_j B_{n,j}(w) z^j, with B_{n,j} from the signature
+    # enumeration in `bell`, at each channel's signed coefficients w
+    forms = all_forms()
+    for channel in range(4):
+        weights = [f.sign_factorial() * (f.D, f.E, f.F, f.G)[channel] for f in forms]
+        table = tables._channel_table(weights)
+        assert table[0] == [1]
+        for n in range(1, MAX_I + 1):
+            want = [0] + [partial_bell(n, j).evaluate(weights[:n]) for j in range(1, n + 1)]
+            assert table[n] == want, (channel, n)
 
 
 def test_node_polynomial_results_are_fresh():
