@@ -185,14 +185,26 @@ def _p2_generators():
     return P2Class({(0, 0, 1): 1}), P2Class({(1, 0, 0): 1}), P2Class({(0, 1, 0): 1})
 
 
-def m_poly_p2(n):
-    """(1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1} (H + (d-1)l)^3."""
-    if not 1 <= n <= Q_MAX:
-        raise ValueError(f"m_poly_p2: n must be in 1..{Q_MAX}, got {n}")
+@lru_cache(maxsize=1)
+def _plane_table():
+    """(M_1, ..., M_{Q_MAX}) in one pass, M_{n+1} = M_n (1 + H + (d-1)l)^3
+    (1 - 3l + 6l^2), built whole on first use so that no call's cost depends
+    on which n came first."""
     d, l, H = _p2_generators()
     dm1_l = l * (d - 1)
-    inv_tangent = 1 - 3 * l + 6 * l * l
-    return (1 + H + dm1_l) ** (3 * (n - 1)) * inv_tangent ** (n - 1) * (H + dm1_l) ** 3
+    step = (1 + H + dm1_l) ** 3 * (1 - 3 * l + 6 * l * l)
+    table = [(H + dm1_l) ** 3]
+    while len(table) < Q_MAX:
+        table.append(table[-1] * step)
+    return tuple(table)
+
+
+def m_poly_p2(n):
+    """(1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1} (H + (d-1)l)^3, the
+    table's own class: callers must not mutate it."""
+    if not 1 <= n <= Q_MAX:
+        raise ValueError(f"m_poly_p2: n must be in 1..{Q_MAX}, got {n}")
+    return _plane_table()[n - 1]
 
 
 def q_p2_extraction(n):
@@ -262,9 +274,4 @@ def excess_a1a2_p2():
     product on P^2: coefficient of l^2 H^3 in
     (1+(d-1)l+H)^3 (1-3l+6l^2) (2(d-3)l+2H) ((d-1)l+H)^3."""
     d, l, H = _p2_generators()
-    dm1_l = l * (d - 1)
-    a = (1 + dm1_l + H) ** 3
-    b = 1 - 3 * l + 6 * l * l
-    c = 2 * (d - 3) * l + 2 * H
-    e = (dm1_l + H) ** 3
-    return (a * b * c * e).coefficient(2, 3)
+    return (m_poly_p2(2) * (2 * (d - 3) * l + 2 * H)).coefficient(2, 3)

@@ -12,10 +12,10 @@ import csv
 import json
 import sys
 from functools import lru_cache
-from itertools import chain
+from itertools import chain, repeat
 
 from . import checks
-from .bell import MAX_R, complete_bell, partial_bell
+from .bell import MAX_R, complete_bell, eval_complete_bell, partial_bell
 from .chow import Q_MAX, c_correction_p2, q_general, q_p2_closed, q_p2_extraction
 from .exact import format_rational
 from .kazarian import MultisingularityType, count_multisingular, s_alpha
@@ -49,9 +49,8 @@ MAX_SERIES_ORDER = 60
 # 800 digits and prints in well under a second in every format; far larger n
 # runs for seconds and then overflows Python's int-to-string digit limit.
 MAX_QN_N = 1000
-# Largest `partitions --r`: B_10 = 115975 lines.  Text output streams one
-# partition at a time, but json and csv hold every record, and B_12 would be
-# about 4.2M of them.
+# Largest `partitions --r`: B_10 = 115975 lines.  Every format streams one
+# partition at a time, but B_12 would be about 4.2M lines of output.
 MAX_PARTITIONS_R = 10
 # Largest node count `count --oracle` also checks by enumerating every set
 # partition (B_9 = 21147 of them); the signature-sum oracle covers every r.
@@ -213,15 +212,15 @@ def _cmd_partitions(args):
         else:
             lines = map(format_partition, parts)
         _emit(args, lines, None)
-    elif args.format == "json":
-        records = [
-            {"partition": format_partition(pi), "blocks": len(pi),
-             "mobius": str(mobius_coefficient(pi))}
-            for pi in parts
-        ]
-        payload = {"command": "partitions", "r": args.r, "count": len(records),
-                   "partitions": records}
-        _emit(args, [], payload)
+    elif args.format == "json":  # streamed, in the bytes of json.dumps(..., indent=2)
+        head = {"command": "partitions", "r": args.r,
+                "count": eval_complete_bell(args.r, [1] * args.r)}  # Bell number B_r
+        sys.stdout.write(json.dumps(head, indent=2)[:-2] + ',\n  "partitions": [')
+        record = '%s\n    {\n      "partition": %s,\n      "blocks": %d,\n      "mobius": "%d"\n    }'
+        sys.stdout.writelines(
+            record % (sep, json.dumps(format_partition(pi)), len(pi), mobius_coefficient(pi))
+            for sep, pi in zip(chain([""], repeat(",")), parts))
+        sys.stdout.write("\n  ]\n}\n")
     else:
         rows = ([format_partition(pi), len(pi), mobius_coefficient(pi)] for pi in parts)
         _emit(args, [], None, chain([["partition", "blocks", "mobius"]], rows))

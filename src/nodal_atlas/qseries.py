@@ -33,8 +33,9 @@ integer tuples: Delta by Jacobi's identity, and the powers of D G_2 and the
 two logarithms (times lcm(1..T)) once per truncation order T.  The channel
 series, that is the residuals, log B_1 and log B_2, are sums of integer
 numerators over 24 lcm(1..T), with one Fraction per output coefficient.
-Results are PowerSeries built fresh on every call, so no caller can alter a
-cached value.
+The second route to log B_1 shares none of those caches: it is Horner's
+rule in t, on integer numerators over lcm(1..T).  Results are PowerSeries
+built fresh on every call, so no caller can alter a cached value.
 """
 
 from __future__ import annotations
@@ -289,15 +290,17 @@ def recover_log_b1(order, forms):
 
 
 def recover_log_b1_direct(order, forms):
-    """Same series by dense substitution of t = D G_2 into
-    sum_l (-1)^{l-1} (F_l - G_l) t^l / l; an independent code path."""
+    """Same series by Horner's rule in t = D G_2 on the integer numerators
+    lcm(1..order) (-1)^{l-1} (F_l - G_l) / l of its t^l coefficients; an
+    independent code path that reads none of recover_log_b1's caches."""
     _check_table(order, forms)
-    t = dg2(order)
-    acc, t_pow = PowerSeries([], order), PowerSeries([1], order)
-    for l in range(1, order + 1):
-        t_pow = t_pow * t
-        acc = acc + t_pow * Fraction((-1) ** (l - 1) * (forms[l - 1].F - forms[l - 1].G), l)
-    return acc
+    t = [c.numerator for c in dg2(order).coeffs]
+    den = math.lcm(*range(1, order + 1))
+    acc = (0,) * (order + 1)
+    for l in range(order, 0, -1):
+        w = (-1) ** (l - 1) * (forms[l - 1].F - forms[l - 1].G) * (den // l)
+        acc = _mul((acc[0] + w,) + acc[1:], t, order)
+    return PowerSeries([Fraction(a, den) for a in acc], order)
 
 
 def recover_b1(order, forms):

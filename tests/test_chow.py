@@ -5,8 +5,10 @@ import pytest
 
 from nodal_atlas.chow import (
     H_CAP,
+    Q_MAX,
     GradedClass,
     LinearForm,
+    P2Class,
     c_correction_p2,
     chern_principal_parts,
     critical_class,
@@ -132,7 +134,29 @@ def test_interpolation_reproduces_extraction():
 def test_m_poly_range():
     with pytest.raises(ValueError):
         m_poly_p2(0)
+    with pytest.raises(ValueError):
+        m_poly_p2(Q_MAX + 1)
     assert m_poly_p2(1).coefficient(2, 1) == q_p2_extraction(1)
+
+
+def _m_poly_from_scratch(n):
+    """Oracle for the one-pass table: the class expanded on its own,
+    (1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1} (H + (d-1)l)^3."""
+    d, l, H = P2Class({(0, 0, 1): 1}), P2Class({(1, 0, 0): 1}), P2Class({(0, 1, 0): 1})
+    dm1_l = l * (d - 1)
+    inv_tangent = 1 - 3 * l + 6 * l * l
+    return (1 + H + dm1_l) ** (3 * (n - 1)) * inv_tangent ** (n - 1) * (H + dm1_l) ** 3
+
+
+def test_plane_table_equals_the_expansion_from_scratch():
+    for n in range(1, Q_MAX + 1):
+        got = m_poly_p2(n)
+        assert type(got) is P2Class
+        assert got.terms == _m_poly_from_scratch(n).terms, n
+    # the corrections and the excess read the same table
+    assert c_correction_p2(3) == C_P2_TABLE[3] == -_m_poly_from_scratch(2).coefficient(2, 3)
+    assert c_correction_p2(4) == C_P2_TABLE[4]
+    assert excess_a1a2_p2() == PolyD([144, -192, 60])
 
 
 def test_multiple_point_degrees():

@@ -133,6 +133,18 @@ def test_partitions_text(capsys):
     assert lines[0] == "123  mobius=2"
 
 
+def test_partitions_json_streams_the_whole_payload(capsys):
+    # the streamed json is byte for byte one json.dumps of every record, with
+    # count the number of records
+    from nodal_atlas.partitions import format_partition, iter_partitions, mobius_coefficient
+
+    for r in range(1, 8):
+        records = [{"partition": format_partition(pi), "blocks": len(pi),
+                    "mobius": str(mobius_coefficient(pi))} for pi in iter_partitions(r)]
+        payload = {"command": "partitions", "r": r, "count": len(records), "partitions": records}
+        code, out, _ = run_cli(capsys, "partitions", "--r", str(r), "--format", "json")
+        assert (code, out) == (0, json.dumps(payload, indent=2) + "\n"), r
+
 
 def test_partitions_size_is_bounded_before_any_work(capsys, monkeypatch):
     def refuse(r):
@@ -580,4 +592,19 @@ def test_partitions_output_digest(capsys):
             digest.update(out.encode())
     assert digest.hexdigest() == (
         "2096b4859aca0f025702bb47b6b8c0d1d6337dd955cffad34cad55f004fa195b"
+    )
+
+
+def test_check_output_digest(capsys):
+    # SHA-256 of the exit code and stdout of `check` in each format, captured
+    # while the plane diagonal classes were rebuilt per n on every call and
+    # the direct log B_1 route multiplied dense Fraction series
+    digest = hashlib.sha256()
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run_cli(capsys, "check", "--format", fmt)
+        assert err == "" and code == 3, fmt
+        digest.update(f"{code}\n".encode())
+        digest.update(out.encode())
+    assert digest.hexdigest() == (
+        "ae7d3151aee667bd35af938e24ecd739fb8e17c5629dc38d34f772499b64100e"
     )

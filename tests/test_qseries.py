@@ -149,8 +149,9 @@ def _dense_channel_sum(t, coeffs):
 
 
 def test_integer_residuals_equal_the_series_composition():
-    # every channel residual and both recovered logs against the Fraction
-    # series composition the integer numerators replaced, at every order
+    # every channel residual, both recovered logs and the Horner route to
+    # log B_1 against the Fraction series composition the integer numerators
+    # replaced, at every order
     forms = all_forms()
     D, E, F, G = ([getattr(f, c) for f in forms] for c in "DEFG")
     for order in range(TABLE_ORDER + 1):
@@ -172,6 +173,7 @@ def test_integer_residuals_equal_the_series_composition():
             got = gyz_channel_residual(channel, order, forms)
             assert (got.order, got.coeffs) == (order, want[channel].coeffs), (channel, order)
         for got, series in ((recover_log_b1(order, forms), log_b1),
+                            (recover_log_b1_direct(order, forms), log_b1),
                             (recover_log_b2(order, forms), log_b2)):
             assert (got.order, got.coeffs) == (order, series.coeffs), order
 
@@ -227,9 +229,9 @@ B2_15 = [1, 5, 2, 35, -140, 986, -6643, 48248, -362700, 2802510, -22098991,
 
 
 def test_hot_paths_multiply_no_series(monkeypatch):
-    # the residuals, the recoveries and the discriminant run on integer
-    # coefficient lists; a series x series product on any of them raises,
-    # while scaling by a scalar stays allowed
+    # the residuals, both routes to log B_1, the recoveries and the
+    # discriminant run on integer coefficient lists; a series x series product
+    # on any of them raises, while scaling by a scalar stays allowed
     original = PowerSeries.__mul__
 
     def scalar_only(self, other):
@@ -242,8 +244,8 @@ def test_hot_paths_multiply_no_series(monkeypatch):
     for obj in vars(qseries).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
-    with pytest.raises(AssertionError):
-        recover_log_b1_direct(3, all_forms())
+    with pytest.raises(AssertionError):  # the patch is in force
+        dg2(3) * dg2(3)
     forms = all_forms()
     defect = ["0"] * 15 + ["992/3"]
     for _ in range(2):  # cold, then from the caches
@@ -257,6 +259,9 @@ def test_hot_paths_multiply_no_series(monkeypatch):
         log_b2 = recover_log_b2(15, forms)
         assert log_b2[1] == 5
         log_b2.coeffs[1] = Fraction(7)
+        direct = recover_log_b1_direct(15, forms)
+        assert direct == recover_log_b1(15, forms)
+        direct.coeffs[1] = Fraction(7)
     delta = discriminant(60)
     assert delta.order == 60
     assert hashlib.sha256(",".join(delta.to_list()).encode()).hexdigest() == (
