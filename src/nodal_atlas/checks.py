@@ -10,7 +10,7 @@ KNOWN_X_CHANNEL_DEFECT).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
@@ -103,10 +103,19 @@ def _signature_terms(r):
 def complete_bell_by_signatures(r, values):
     """Oracle for bell.eval_complete_bell: the p(r)-term sum over block-size
     signatures of count * prod x_i^{j_i}.  Integers stay integers; any other
-    input is evaluated in Fractions.  Each x_i^j comes from a per-call table."""
-    xs = list(values[:r])
-    if not all(isinstance(v, int) for v in xs):
-        xs = [Fraction(v) for v in xs]
+    input is evaluated in Fractions.  The sum is memoised on the values
+    themselves, so no reload of the table data can make it stale; `check`
+    asks for the same values on every call."""
+    xs = tuple(values[:r])
+    ints = all(isinstance(v, int) for v in xs)
+    return _signature_sum(r, xs if ints else tuple(map(Fraction, xs)), ints)
+
+
+@lru_cache(maxsize=None)
+def _signature_sum(r, xs, ints):
+    """The signature sum at xs; `ints` keeps an integer sum apart from the
+    equal Fraction sum of integral Fractions.  Each x_i^j comes from a
+    per-call table."""
     table = [p for i, x in enumerate(xs, 1) for p in accumulate([x] * (r // i), mul, initial=1)]
     power = table.__getitem__
     return sum(count * math.prod(map(power, indices)) for count, indices in _signature_terms(r))
@@ -133,11 +142,7 @@ ORACLE_SURFACES = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    ok: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name ok detail", defaults=("",))
 
 
 def check_equivalence_forms():
@@ -258,7 +263,7 @@ def check_integrality_grid():
 def check_node_count_routes():
     surfaces = [ChernNumbers.p2(d) for d in range(1, 11)] + list(ORACLE_SURFACES)
     bad = [
-        (chern.as_tuple(), r)
+        (tuple(chern), r)
         for chern in surfaces
         for r in range(0, MAX_I + 1)
         if node_count(r, chern) != node_count_by_signatures(r, chern)

@@ -1,0 +1,86 @@
+"""The package's five records are tuple records with the reprs, immutability,
+equality and hashing of the frozen dataclasses they replaced, and importing
+the package or its CLI loads no `dataclasses` (nor, through it, `inspect`,
+`ast` or `dis`)."""
+
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+import nodal_atlas
+from nodal_atlas.checks import CheckResult
+from nodal_atlas.chow import LinearForm
+from nodal_atlas.tables import (
+    ChernNumbers,
+    DecompositionReport,
+    NodeLinearForm,
+    RatioRow,
+    a_decomposition_check,
+    a_form,
+    node_count,
+    ratio_table,
+)
+
+# Each record with the repr the frozen dataclasses printed.
+RECORDS = [
+    (ChernNumbers(25, -15, 9, 3), "ChernNumbers(d=25, k=-15, s=9, x=3)"),
+    (NodeLinearForm(3, 690, 788, 188, 69), "NodeLinearForm(i=3, D=690, E=788, F=188, G=69)"),
+    (
+        RatioRow(1, Fraction(14), Fraction(39, 2), None, Fraction(7)),
+        "RatioRow(n=1, D=Fraction(14, 1), E=Fraction(39, 2), F=None, G=Fraction(7, 1))",
+    ),
+    (
+        DecompositionReport(2, LinearForm(42, 39, 6, 7), LinearForm(42, 39, 6, 7)),
+        "DecompositionReport(i=2, left=42d + 39k + 6s + 7x, right=42d + 39k + 6s + 7x)",
+    ),
+    (CheckResult("x", False, "d"), "CheckResult(name='x', ok=False, detail='d')"),
+]
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    # compared with a snapshot: `site` may import modules before any package code
+    script = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import nodal_atlas, nodal_atlas.cli\n"
+        "print(*sorted(set(sys.modules) - before))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(nodal_atlas.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    added = set(proc.stdout.split())
+    assert {"nodal_atlas.tables", "nodal_atlas.checks", "nodal_atlas.cli"} <= added
+    assert not added & {"dataclasses", "inspect", "ast", "dis"}
+
+
+@pytest.mark.parametrize("record, text", RECORDS, ids=[text.split("(")[0] for _, text in RECORDS])
+def test_record_behaviour(record, text):
+    assert repr(record) == text
+    field = record._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, 0)
+    twin = type(record)(*record)
+    assert twin is not record
+    assert twin == record and hash(twin) == hash(record)
+    assert twin != record._replace(**{field: 99})
+
+
+def test_records_built_by_the_library():
+    assert a_form(3) == RECORDS[1][0]
+    assert ratio_table()[0] == RECORDS[2][0]
+    assert repr(a_decomposition_check(2)) == RECORDS[3][1]
+    assert a_decomposition_check(2).ok
+    assert CheckResult("x", True).detail == ""
+
+
+def test_count_error_names_the_surface_by_its_repr():
+    with pytest.raises(ArithmeticError, match=r"chern=ChernNumbers\(d=1, k=0, s=0, x=0\)"):
+        node_count(2, ChernNumbers(1, 0, 0, 0))

@@ -1,13 +1,15 @@
+import hashlib
 import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from nodal_atlas import assets, tables
+from nodal_atlas import assets, checks, tables
 from nodal_atlas.bell import SparsePoly, eval_complete_bell, partial_bell
-from nodal_atlas.checks import node_count_by_signatures
+from nodal_atlas.checks import complete_bell_by_signatures, node_count_by_signatures
 from nodal_atlas.chow import multiple_point_degree
 from nodal_atlas.exact import PolyD
 from nodal_atlas.partitions import integer_partition_signatures, signature_count
@@ -177,6 +179,32 @@ def test_node_count_rejects_non_integral_total():
         node_count(2, ChernNumbers(1, 0, 0, 0))
     with pytest.raises(ArithmeticError):
         node_count_by_signatures(2, ChernNumbers(1, 0, 0, 0))
+
+
+def test_signature_oracle_memo_keys_on_the_values(monkeypatch):
+    chern = ChernNumbers.p2(5)
+    before = node_count_by_signatures(2, chern)
+    # a table reload that changes row 2 is seen at once: the memo keys on the
+    # a_i values, not on (r, chern)
+    rows = dict(tables._rows())
+    form = rows[2]["form"]
+    rows[2] = {**rows[2], "form": form._replace(D=form.D + 2)}
+    monkeypatch.setattr(tables, "_rows", lambda: rows)
+    after = node_count_by_signatures(2, chern)
+    assert after == node_count(2, chern) == before - chern.d
+    # an integer input keeps an int sum, integral Fractions a Fraction sum
+    ints = [3, -42, 1380]
+    assert type(complete_bell_by_signatures(3, ints)) is int
+    assert type(complete_bell_by_signatures(3, [Fraction(v) for v in ints])) is Fraction
+
+
+def test_route_check_runs_the_production_count_on_every_call(monkeypatch):
+    calls = []
+    real = checks.node_count
+    monkeypatch.setattr(checks, "node_count", lambda r, chern: calls.append(r) or real(r, chern))
+    for _ in range(2):
+        assert checks.check_node_count_routes().ok
+    assert len(calls) == 2 * (10 + len(checks.ORACLE_SURFACES)) * (MAX_I + 1)
 
 
 def test_hot_paths_skip_partition_enumeration(monkeypatch):
@@ -387,3 +415,16 @@ def test_node_linear_form_signs():
     form = NodeLinearForm(3, 5, 7, 1, 2)
     assert form.sign_factorial() == 2
     assert form.p2_poly() == PolyD([2 * (9 * 1 + 3 * 2), 2 * -3 * 7, 2 * 5])
+
+
+# SHA-256 of the shipped data assets, which stay verbatim.
+SHIPPED_ASSETS = {
+    "a_forms.json": "9bab37634fdba90eb359884cd6eeb19bd845a9bfa9f9252f399c4994e305d6a9",
+    "kazarian.json": "136b934e0f39b865069b37bdc327b5da1c6af7d068612737f51154541e5faad2",
+}
+
+
+def test_shipped_assets_are_pinned():
+    data = Path(tables.__file__).parent / "data"
+    for name, digest in SHIPPED_ASSETS.items():
+        assert hashlib.sha256((data / name).read_bytes()).hexdigest() == digest, name
