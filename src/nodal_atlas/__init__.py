@@ -11,9 +11,11 @@ from .chow import (
     GradedClass,
     LinearForm,
     P2Class,
+    c_correction,
     c_correction_p2,
     chern_principal_parts,
     critical_class,
+    excess_a1a2,
     excess_a1a2_p2,
     inverse_tangent_chern,
     m_poly_p2,

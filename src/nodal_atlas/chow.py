@@ -18,8 +18,10 @@ any extracted coefficient, so dropping them is sound and keeps every
 product finite.
 
 What the surface ring pushes forward to, a ``LinearForm`` in the four Chern
-numbers, is the same kernel on the unit exponents; on the plane it becomes
-an ``exact.PolyD`` in d.
+numbers, is the same kernel on the unit exponents.  Q_n, the corrections
+C_n and the excess E are such forms, read from one table of surface classes;
+their values on (P^2, O(d)), ``exact.PolyD`` in d, are specialisations.  The
+plane ring remains only as the coefficient-extraction route to Q_n.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .bell import eval_complete_bell
 from .exact import PolyD, SparsePoly, binomial, format_rational
 
 Q_MAX = 8
@@ -149,19 +152,50 @@ def pushforward_to_Y(c, n):
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1)
+def _class_table():
+    """(cls_1, ..., cls_{Q_MAX}) in one pass, cls_{n+1} = cls_n c(P) c(T)^{-1}
+    with cls_1 the critical class, built whole on first use so that no
+    call's cost depends on which n came first.  Callers must not mutate it."""
+    step = chern_principal_parts() * inverse_tangent_chern()
+    table = [critical_class()]
+    while len(table) < Q_MAX:
+        table.append(table[-1] * step)
+    return tuple(table)
+
+
 def q_general(n):
     """Equivalence of the small diagonal on a general surface, as a linear
-    form in the four Chern numbers.  Cached per n: callers must not mutate
-    the result."""
+    form in the four Chern numbers: the H^n pushforward of cls_n."""
     if not 1 <= n <= Q_MAX:
         raise ValueError(f"q_general: n must be in 1..{Q_MAX}, got {n}")
-    cls = (
-        chern_principal_parts() ** (n - 1)
-        * inverse_tangent_chern() ** (n - 1)
-        * critical_class()
-    )
-    return pushforward_to_Y(cls, n)
+    return pushforward_to_Y(_class_table()[n - 1], n)
+
+
+def c_correction(n):
+    """Correction term attached to the small diagonal, as a linear form in
+    the four Chern numbers: C_3 = -pi_*[H^3] cls_2 and
+    C_4 = -(3/2 pi_*[H^4] cls_3 - 2 pi_*[H^4] cls_2); zero for n <= 2, and no
+    formula exists beyond n = 4.  That the plane formulas lift to these forms
+    is an observed identity, held exactly by `tables.a_decomposition_check`."""
+    if n in (1, 2):
+        return LinearForm()
+    cls = _class_table()
+    if n == 3:
+        return -pushforward_to_Y(cls[1], 3)
+    if n == 4:
+        return pushforward_to_Y(cls[1], 4) * 2 - pushforward_to_Y(cls[2], 4) * Fraction(3, 2)
+    raise ValueError(f"c_correction: no formula for n={n} (only n <= 4)")
+
+
+def excess_a1a2():
+    """Excess contribution of the cuspidal diagonal to the node-plus-cusp
+    product, pi_*[H^3] (cls_2 (2(L+K) + 2H)), a linear form in the four Chern
+    numbers.  The plane formula's 2(d-3)l is 2(L+K) on P^2; its lift to every
+    surface is an observed identity, held exactly by the Thom table's
+    S_{A1A2} = -3(E/2 + S_{A3})."""
+    factor = (GradedClass.gen_L() + GradedClass.gen_K() + GradedClass.gen_H()) * 2
+    return pushforward_to_Y(_class_table()[1] * factor, 3)
 
 
 class P2Class(SparsePoly):
@@ -181,16 +215,12 @@ class P2Class(SparsePoly):
         return PolyD([by_d.get(e_d, 0) for e_d in range(max(by_d, default=-1) + 1)])
 
 
-def _p2_generators():
-    return P2Class({(0, 0, 1): 1}), P2Class({(1, 0, 0): 1}), P2Class({(0, 1, 0): 1})
-
-
 @lru_cache(maxsize=1)
 def _plane_table():
     """(M_1, ..., M_{Q_MAX}) in one pass, M_{n+1} = M_n (1 + H + (d-1)l)^3
     (1 - 3l + 6l^2), built whole on first use so that no call's cost depends
     on which n came first."""
-    d, l, H = _p2_generators()
+    d, l, H = (P2Class({e: 1}) for e in ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
     dm1_l = l * (d - 1)
     step = (1 + H + dm1_l) ** 3 * (1 - 3 * l + 6 * l * l)
     table = [(H + dm1_l) ** 3]
@@ -235,27 +265,15 @@ def q_p2_closed(n):
 
 @lru_cache(maxsize=None)
 def c_correction_p2(n):
-    """Correction term attached to the small diagonal for P^2, as a
-    polynomial in d.  Zero for n <= 2; no formula exists beyond n = 4.
-
-    Cached per n and shared by every `multiple_point_degree`."""
-    if n in (1, 2):
-        return PolyD()
-    if n == 3:
-        return -m_poly_p2(2).coefficient(2, 3)
-    if n == 4:
-        m3 = m_poly_p2(3).coefficient(2, 4)
-        m2 = m_poly_p2(2).coefficient(2, 4)
-        return -(m3 * Fraction(3, 2) - m2 * 2)
-    raise ValueError(f"c_correction_p2: no formula for n={n} (only n <= 4)")
+    """`c_correction(n)` on (P^2, O(d)), a polynomial in d; cached per n and
+    shared by every `multiple_point_degree`."""
+    return c_correction(n).specialize_p2()
 
 
 def multiple_point_degree(r, d):
     """Number of r-fold points of the projection of the critical locus over
     the system of plane degree-d curves, via the Bell combination of the
     equivalence and correction terms."""
-    from .bell import eval_complete_bell
-
     if not 1 <= r <= 4:
         raise ValueError(f"multiple_point_degree: r must be in 1..4, got {r}")
     args = []
@@ -270,8 +288,5 @@ def multiple_point_degree(r, d):
 
 
 def excess_a1a2_p2():
-    """Excess contribution of the cuspidal diagonal to the node-plus-cusp
-    product on P^2: coefficient of l^2 H^3 in
-    (1+(d-1)l+H)^3 (1-3l+6l^2) (2(d-3)l+2H) ((d-1)l+H)^3."""
-    d, l, H = _p2_generators()
-    return (m_poly_p2(2) * (2 * (d - 3) * l + 2 * H)).coefficient(2, 3)
+    """`excess_a1a2()` on (P^2, O(d)), a polynomial in d."""
+    return excess_a1a2().specialize_p2()

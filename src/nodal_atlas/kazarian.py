@@ -104,6 +104,12 @@ def _table():
     return table
 
 
+def tabulated_types(codim):
+    """The tabulated types of the given codimension, in table order."""
+    types = map(MultisingularityType.parse, _table())
+    return [alpha for alpha in types if alpha.codim == codim]
+
+
 def s_alpha(alpha):
     """The tabulated linear form for a type of codimension <= 4."""
     if isinstance(alpha, str):

@@ -53,10 +53,9 @@ CHANNELS = ("d", "k", "s", "x")
 
 
 class PowerSeries:
-    """q-series c_0 + c_1 q + ... + c_T q^T with exact rational coefficients.
-
-    Binary operations truncate to the smaller order of the two operands.
-    """
+    """q-series c_0 + c_1 q + ... + c_T q^T with exact rational coefficients:
+    what the module's functions return, with no arithmetic of its own.
+    Equality truncates to the smaller order of the two operands."""
 
     __slots__ = ("coeffs", "order")
 
@@ -86,28 +85,6 @@ class PowerSeries:
 
     def is_zero(self):
         return all(c == 0 for c in self.coeffs)
-
-    def __add__(self, other):
-        t = min(self.order, other.order)
-        return PowerSeries([a + b for a, b in zip(self.coeffs[: t + 1], other.coeffs)], t)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return PowerSeries([c * other for c in self.coeffs], self.order)
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        t = min(self.order, other.order)
-        out = [Fraction(0)] * (t + 1)
-        for i, a in enumerate(self.coeffs[: t + 1]):
-            if a == 0:
-                continue
-            for j in range(t + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return PowerSeries(out, t)
-
-    __rmul__ = __mul__
 
     def to_list(self):
         return [format_rational(c) for c in self.coeffs]

@@ -55,10 +55,6 @@ class NodeLinearForm(namedtuple("NodeLinearForm", "i D E F G")):
         sf = self.sign_factorial()
         return chow.LinearForm(sf * self.D, sf * self.E, sf * self.F, sf * self.G)
 
-    def p2_poly(self):
-        """a_i specialized to (P^2, O(d)) as a polynomial in d."""
-        return self.linear_form().specialize_p2()
-
 
 def _parse_row(position, row):
     """One row of a_forms.json; it must be row `position` of the run 1..MAX_I
@@ -324,37 +320,22 @@ class DecompositionReport(namedtuple("DecompositionReport", "i left right")):
 
 
 def a_decomposition_check(i):
-    """Check a_i against the sum of the diagonal equivalence/correction terms
-    and the Thom-polynomial contributions of higher singularities.
+    """Check a_i against the diagonal equivalence and correction terms and
+    the Thom polynomials of the higher types, in all four Chern numbers:
 
-    i = 2 is exact in all four Chern numbers; i = 3, 4 are checked as
-    polynomials in d on the projective plane (where the correction terms are
-    available).  The two sides come from independent data.
+        (-1)^{i-1} a_i = (i-1)! (Q_i + C_i) - (-1)^{i-1} i! sum_alpha S_alpha / |Aut alpha|,
+
+    alpha over the tabulated types of codimension i other than A1^i.  The
+    sides come from independent data: the coefficient table, and the chow
+    layer with the Thom table.
     """
-    if i == 2:
-        left = a_form(2).linear_form() * -1  # -a_2 = 42d + 39k + 6s + 7x
-        right = chow.q_general(2) + kazarian.s_alpha("A2") * 2
-        return DecompositionReport(i, left, right)
-    if i == 3:
-        left = a_form(3).p2_poly()
-        q3 = chow.q_p2_extraction(3)
-        c3 = chow.c_correction_p2(3)
-        s_a1a2 = kazarian.s_alpha("A1*A2").specialize_p2()
-        s_a3 = kazarian.s_alpha("A3").specialize_p2()
-        right = (q3 + c3) * 2 - (s_a1a2 + s_a3) * 6
-        return DecompositionReport(i, left, right)
-    if i == 4:
-        left = a_form(4).p2_poly()
-        q4 = chow.q_p2_extraction(4)
-        c4 = chow.c_correction_p2(4)
-        half = Fraction(1, 2)
-        s_sum = (
-            kazarian.s_alpha("A1*A3").specialize_p2()
-            + kazarian.s_alpha("A1^2*A2").specialize_p2() * half
-            + kazarian.s_alpha("A2^2").specialize_p2() * half
-            + kazarian.s_alpha("A4").specialize_p2()
-            + kazarian.s_alpha("D4").specialize_p2()
-        )
-        right = (q4 + c4) * -6 - s_sum * 24
-        return DecompositionReport(i, left, right)
-    raise ValueError(f"a_decomposition_check: i must be in 2..4, got {i}")
+    if not 2 <= i <= 4:
+        raise ValueError(f"a_decomposition_check: i must be in 2..4, got {i}")
+    sign, factorial = (-1) ** (i - 1), math.factorial(i - 1)
+    thom = chow.LinearForm()
+    for alpha in kazarian.tabulated_types(i):
+        if alpha.labels != ("A1",) * i:
+            thom += kazarian.s_alpha(alpha) * Fraction(1, kazarian.aut_order(alpha))
+    left = a_form(i).linear_form() * sign
+    right = (chow.q_general(i) + chow.c_correction(i)) * factorial - thom * (sign * factorial * i)
+    return DecompositionReport(i, left, right)

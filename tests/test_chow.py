@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
+from nodal_atlas import chow
 from nodal_atlas.chow import (
     H_CAP,
     Q_MAX,
     GradedClass,
     LinearForm,
     P2Class,
+    c_correction,
     c_correction_p2,
     chern_principal_parts,
     critical_class,
+    excess_a1a2,
     excess_a1a2_p2,
     inverse_tangent_chern,
     m_poly_p2,
@@ -64,13 +67,38 @@ def test_closed_equals_extraction():
 
 
 def test_general_specializes_to_plane():
-    for n in range(1, 7):
+    for n in range(1, Q_MAX + 1):
         assert q_general(n).specialize_p2() == q_p2_extraction(n)
 
 
 def test_correction_no_formula_beyond_four():
+    for n in (0, 5):
+        with pytest.raises(ValueError):
+            c_correction(n)
     with pytest.raises(ValueError):
         c_correction_p2(5)
+
+
+def test_class_table_equals_the_expansion_per_n():
+    # oracle: each class expanded on its own, c(P)^{n-1} c(T)^{-(n-1)} cls_1
+    table = chow._class_table()
+    assert len(table) == Q_MAX
+    for n, got in enumerate(table, start=1):
+        want = (
+            chern_principal_parts() ** (n - 1)
+            * inverse_tangent_chern() ** (n - 1)
+            * critical_class()
+        )
+        assert type(got) is GradedClass
+        assert got.terms == want.terms, n
+        assert q_general(n) == pushforward_to_Y(want, n)
+
+
+def test_corrections_and_excess_in_four_variables():
+    assert [c_correction(n) for n in (1, 2)] == [LinearForm(), LinearForm()]
+    assert c_correction(3) == LinearForm(-30, -32, -7, -3)
+    assert c_correction(4) == LinearForm(-420, -475, -120, -26)
+    assert excess_a1a2() == LinearForm(60, 64, 14, 6)
 
 
 def test_inverse_tangent_chern_closed_form():
@@ -153,10 +181,20 @@ def test_plane_table_equals_the_expansion_from_scratch():
         got = m_poly_p2(n)
         assert type(got) is P2Class
         assert got.terms == _m_poly_from_scratch(n).terms, n
-    # the corrections and the excess read the same table
-    assert c_correction_p2(3) == C_P2_TABLE[3] == -_m_poly_from_scratch(2).coefficient(2, 3)
-    assert c_correction_p2(4) == C_P2_TABLE[4]
-    assert excess_a1a2_p2() == PolyD([144, -192, 60])
+
+
+def test_four_variable_forms_specialise_to_the_plane_ring_values():
+    # the corrections and the excess read the surface table; on the plane
+    # they must equal the plane ring's own coefficient extractions
+    m2, m3 = _m_poly_from_scratch(2), _m_poly_from_scratch(3)
+    c3 = -m2.coefficient(2, 3)
+    c4 = -(m3.coefficient(2, 4) * Fraction(3, 2) - m2.coefficient(2, 4) * 2)
+    d, l, H = P2Class({(0, 0, 1): 1}), P2Class({(1, 0, 0): 1}), P2Class({(0, 1, 0): 1})
+    excess = (m2 * (2 * (d - 3) * l + 2 * H)).coefficient(2, 3)
+    assert c_correction(3).specialize_p2() == c_correction_p2(3) == c3 == C_P2_TABLE[3]
+    assert c_correction(4).specialize_p2() == c_correction_p2(4) == c4 == C_P2_TABLE[4]
+    assert excess_a1a2().specialize_p2() == excess_a1a2_p2() == excess
+    assert excess == PolyD([144, -192, 60])
 
 
 def test_multiple_point_degrees():

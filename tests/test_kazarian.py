@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from nodal_atlas.chow import LinearForm, excess_a1a2_p2
+from nodal_atlas.chow import LinearForm, c_correction, excess_a1a2, excess_a1a2_p2, q_general
 from nodal_atlas.kazarian import (
     MultisingularityType,
     aut_order,
     count_multisingular,
     s_alpha,
+    tabulated_types,
 )
 from nodal_atlas.tables import ChernNumbers, a_form, node_count
 
@@ -142,6 +143,28 @@ def test_cusp_excess_identity():
     lhs = s_alpha("A1*A2").specialize_p2()
     rhs = (excess_a1a2_p2() * Fraction(1, 2) + s_alpha("A3").specialize_p2()) * -3
     assert lhs == rhs
+    # the same identity in all four Chern numbers
+    assert s_alpha("A1*A2") == (excess_a1a2() * Fraction(1, 2) + s_alpha("A3")) * -3
+
+
+def test_low_rows_follow_from_the_coefficient_table_and_the_chow_layer():
+    # the decompositions of a_2 and a_3 with the cusp excess identity fix
+    # S_A2, S_A3 and S_A1A2 exactly in all four Chern numbers
+    a2, a3 = a_form(2).linear_form(), a_form(3).linear_form()
+    excess = excess_a1a2()
+    s_a2 = (-a2 - q_general(2)) * Fraction(1, 2)
+    s_a3 = (a3 - (q_general(3) + c_correction(3)) * 2 - excess * 9) * Fraction(1, 12)
+    s_a1a2 = (excess * Fraction(1, 2) + s_a3) * -3
+    assert s_a2 == s_alpha("A2") == LinearForm(12, 12, 2, 2)
+    assert s_a3 == s_alpha("A3") == LinearForm(50, 64, 17, 5)
+    assert s_a1a2 == s_alpha("A1*A2") == LinearForm(-240, -288, -72, -24)
+
+
+def test_tabulated_types_by_codimension():
+    by_codim = [[alpha.key() for alpha in tabulated_types(c)] for c in range(1, 6)]
+    assert sum(by_codim, []) == TABLE_TYPES
+    assert by_codim[3] == ["A4", "D4", "A1*A3", "A2^2", "A1^2*A2", "A1^4"]
+    assert by_codim[4] == []
 
 
 def test_sub_type():

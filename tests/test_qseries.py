@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import math
 import random
@@ -33,6 +34,25 @@ TAU = [1, -24, 252, -1472, 4830, -6048, -16744, 84480, -113643, -115920,
        534612, -370944, -577738, 401856, 1217160, 987136, -6905934]
 
 
+def _mul(a, b):
+    """Dense product of two series, or of a series and a scalar, truncated to
+    the smaller order: the oracle for the module's integer kernels."""
+    if not isinstance(b, PowerSeries):
+        return PowerSeries([c * b for c in a.coeffs], a.order)
+    t = min(a.order, b.order)
+    out = [Fraction(0)] * (t + 1)
+    for i, x in enumerate(a.coeffs[: t + 1]):
+        for j, y in enumerate(b.coeffs[: t + 1 - i]):
+            out[i + j] += x * y
+    return PowerSeries(out, t)
+
+
+def _add(*series):
+    """Sum of series, truncated to the smallest order."""
+    t = min(s.order for s in series)
+    return PowerSeries([sum(cs) for cs in zip(*(s.coeffs[: t + 1] for s in series))], t)
+
+
 def test_eisenstein_g2_coefficients():
     g2 = eisenstein_g2(16)
     assert g2[0] == Fraction(-1, 24)
@@ -64,7 +84,7 @@ def test_d_operator_is_derivation():
     for _ in range(30):
         a = PowerSeries([rng.randint(-9, 9) for _ in range(9)], 8)
         b = PowerSeries([rng.randint(-9, 9) for _ in range(9)], 8)
-        assert d_operator(a * b) == d_operator(a) * b + a * d_operator(b)
+        assert d_operator(_mul(a, b)) == _add(_mul(d_operator(a), b), _mul(a, d_operator(b)))
 
 
 def test_exp_log_round_trips():
@@ -88,9 +108,10 @@ def test_exp_log_preconditions():
 
 def test_series_mul_and_pow():
     a = PowerSeries([1, 1], 5)
-    a4 = a * a * a * a
-    assert a4 * a == (a * a) * (a * a * a)
-    assert (a4 * a).coeffs == [Fraction(math.comb(5, k)) for k in range(6)]
+    a4 = _mul(_mul(_mul(a, a), a), a)
+    assert _mul(a4, a) == _mul(_mul(a, a), _mul(_mul(a, a), a))
+    assert _mul(a4, a).coeffs == [Fraction(math.comb(5, k)) for k in range(6)]
+    assert _mul(PowerSeries([1, 2, 3]), PowerSeries([1, 1], 1)).coeffs == [1, 3]
 
 
 def test_dg2_power_coeff_vs_convolution():
@@ -109,9 +130,9 @@ def test_dg2_power_coeff_vs_convolution():
                 acc = nxt
             want = acc.get(n, Fraction(0))
             assert powers[r - 1][n] == want
-            assert math.prod([dg2(n)] * r)[n] == want
+            assert functools.reduce(_mul, [dg2(n)] * r)[n] == want
     assert powers[2][2] == 0
-    assert math.prod([dg2(2)] * 3)[2] == 0
+    assert functools.reduce(_mul, [dg2(2)] * 3)[2] == 0
 
 
 def test_dg2_low_coefficients():
@@ -143,8 +164,8 @@ def _dense_channel_sum(t, coeffs):
     """sum_l (-1)^{l-1} coeffs[l-1] t^l / l by dense series products."""
     acc, t_pow = PowerSeries([], t.order), PowerSeries([1], t.order)
     for l in range(1, t.order + 1):
-        t_pow = t_pow * t
-        acc = acc + t_pow * Fraction((-1) ** (l - 1) * coeffs[l - 1], l)
+        t_pow = _mul(t_pow, t)
+        acc = _add(acc, _mul(t_pow, Fraction((-1) ** (l - 1) * coeffs[l - 1], l)))
     return acc
 
 
@@ -159,15 +180,15 @@ def test_integer_residuals_equal_the_series_composition():
         log_dg2 = series_log(PowerSeries([(n + 1) * SIGMA[n] for n in range(order + 1)]))
         d2g2_over_q = PowerSeries([(n + 1) ** 2 * SIGMA[n] for n in range(order + 1)])
         delta_over_q = PowerSeries(discriminant(order + 1).coeffs[1:])
-        log_disc = series_log(delta_over_q * d2g2_over_q)
-        modular = log_dg2 * Fraction(-1, 12) + log_disc * Fraction(1, 24)
+        log_disc = series_log(_mul(delta_over_q, d2g2_over_q))
+        modular = _add(_mul(log_dg2, Fraction(-1, 12)), _mul(log_disc, Fraction(1, 24)))
         log_b1 = _dense_channel_sum(t, [f - g for f, g in zip(F, G)])
-        log_b2 = _dense_channel_sum(t, E) + log_dg2 * Fraction(1, 2)
+        log_b2 = _add(_dense_channel_sum(t, E), _mul(log_dg2, Fraction(1, 2)))
         want = {
-            "d": _dense_channel_sum(t, D) + log_dg2 * Fraction(-1, 2),
-            "k": _dense_channel_sum(t, E) + log_dg2 * Fraction(1, 2) + log_b2 * -1,
-            "s": _dense_channel_sum(t, F) + modular + log_b1 * -1,
-            "x": _dense_channel_sum(t, G) + modular,
+            "d": _add(_dense_channel_sum(t, D), _mul(log_dg2, Fraction(-1, 2))),
+            "k": _add(_dense_channel_sum(t, E), _mul(log_dg2, Fraction(1, 2)), _mul(log_b2, -1)),
+            "s": _add(_dense_channel_sum(t, F), modular, _mul(log_b1, -1)),
+            "x": _add(_dense_channel_sum(t, G), modular),
         }
         for channel in CHANNELS:
             got = gyz_channel_residual(channel, order, forms)
@@ -228,24 +249,14 @@ B2_15 = [1, 5, 2, 35, -140, 986, -6643, 48248, -362700, 2802510, -22098991,
          177116726, -1438544962, 11814206036, -97940651274, 818498739637]
 
 
-def test_hot_paths_multiply_no_series(monkeypatch):
+def test_hot_paths_multiply_no_series():
     # the residuals, both routes to log B_1, the recoveries and the
-    # discriminant run on integer coefficient lists; a series x series product
-    # on any of them raises, while scaling by a scalar stays allowed
-    original = PowerSeries.__mul__
-
-    def scalar_only(self, other):
-        if isinstance(other, PowerSeries):
-            raise AssertionError("series x series product on a hot path")
-        return original(self, other)
-
-    monkeypatch.setattr(PowerSeries, "__mul__", scalar_only)
-    monkeypatch.setattr(PowerSeries, "__rmul__", scalar_only)
+    # discriminant run on integer coefficient lists: PowerSeries is only the
+    # return type and has no arithmetic of its own
+    assert not {"__add__", "__mul__", "__rmul__"} & set(vars(PowerSeries))
     for obj in vars(qseries).values():
         if hasattr(obj, "cache_clear"):
             obj.cache_clear()
-    with pytest.raises(AssertionError):  # the patch is in force
-        dg2(3) * dg2(3)
     forms = all_forms()
     defect = ["0"] * 15 + ["992/3"]
     for _ in range(2):  # cold, then from the caches

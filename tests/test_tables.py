@@ -10,7 +10,7 @@ import pytest
 from nodal_atlas import assets, checks, tables
 from nodal_atlas.bell import SparsePoly, eval_complete_bell, partial_bell
 from nodal_atlas.checks import complete_bell_by_signatures, node_count_by_signatures
-from nodal_atlas.chow import multiple_point_degree
+from nodal_atlas.chow import LinearForm, multiple_point_degree
 from nodal_atlas.exact import PolyD
 from nodal_atlas.partitions import integer_partition_signatures, signature_count
 from nodal_atlas.tables import (
@@ -205,6 +205,15 @@ def test_route_check_runs_the_production_count_on_every_call(monkeypatch):
     for _ in range(2):
         assert checks.check_node_count_routes().ok
     assert len(calls) == 2 * (10 + len(checks.ORACLE_SURFACES)) * (MAX_I + 1)
+
+
+def test_route_check_evaluates_each_row_once_per_surface(monkeypatch):
+    rows = []
+    real = checks.a_form
+    monkeypatch.setattr(checks, "a_form", lambda i: rows.append(i) or real(i))
+    assert checks.check_node_count_routes().ok
+    surfaces = 10 + len(checks.ORACLE_SURFACES)
+    assert sorted(rows) == sorted(list(range(1, MAX_I + 1)) * surfaces)
 
 
 def test_hot_paths_skip_partition_enumeration(monkeypatch):
@@ -407,6 +416,7 @@ def test_decomposition_reports():
     for i in (2, 3, 4):
         rep = a_decomposition_check(i)
         assert rep.ok, f"i={i}: {rep.left} != {rep.right}"
+        assert type(rep.left) is type(rep.right) is LinearForm, i
     with pytest.raises(ValueError):
         a_decomposition_check(5)
 
@@ -414,7 +424,7 @@ def test_decomposition_reports():
 def test_node_linear_form_signs():
     form = NodeLinearForm(3, 5, 7, 1, 2)
     assert form.sign_factorial() == 2
-    assert form.p2_poly() == PolyD([2 * (9 * 1 + 3 * 2), 2 * -3 * 7, 2 * 5])
+    assert form.linear_form().specialize_p2() == PolyD([2 * (9 * 1 + 3 * 2), 2 * -3 * 7, 2 * 5])
 
 
 # SHA-256 of the shipped data assets, which stay verbatim.
