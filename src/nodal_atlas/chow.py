@@ -188,14 +188,21 @@ def c_correction(n):
     raise ValueError(f"c_correction: no formula for n={n} (only n <= 4)")
 
 
+@lru_cache(maxsize=1)
+def _excess():
+    factor = (GradedClass.gen_L() + GradedClass.gen_K() + GradedClass.gen_H()) * 2
+    return pushforward_to_Y(_class_table()[1] * factor, 3)
+
+
 def excess_a1a2():
     """Excess contribution of the cuspidal diagonal to the node-plus-cusp
     product, pi_*[H^3] (cls_2 (2(L+K) + 2H)), a linear form in the four Chern
     numbers.  The plane formula's 2(d-3)l is 2(L+K) on P^2; its lift to every
     surface is an observed identity, held exactly by the Thom table's
-    S_{A1A2} = -3(E/2 + S_{A3})."""
-    factor = (GradedClass.gen_L() + GradedClass.gen_K() + GradedClass.gen_H()) * 2
-    return pushforward_to_Y(_class_table()[1] * factor, 3)
+    S_{A1A2} = -3(E/2 + S_{A3}).  Computed once; each call returns a fresh
+    form over a copy of its terms, so no caller can alter the cached one."""
+    excess = _excess()
+    return excess._new(dict(excess.terms))
 
 
 class P2Class(SparsePoly):

@@ -90,31 +90,34 @@ def aut_order(alpha):
 
 @lru_cache(maxsize=None)
 def _table():
-    """The validated Thom table, keyed by canonical type; malformed data
-    raises ValueError naming the file and the row."""
-    table = {}
+    """The validated Thom table, keyed by canonical type, and the labels of
+    its types grouped by codimension in table order; malformed data raises
+    ValueError naming the file and the row.  Callers must not mutate it."""
+    table, by_codim = {}, {}
 
     def parse_row(position, row):
-        key = MultisingularityType.parse(row["labels"]).key()
+        alpha = MultisingularityType.parse(row["labels"])
+        key = alpha.key()
         if key in table:
             raise ValueError(f"duplicate type {key}")
         table[key] = LinearForm(*(int(row[c]) for c in "dksx"))
+        by_codim.setdefault(alpha.codim, []).append(alpha.labels)
 
     assets.load_rows("kazarian.json", ("labels", "d", "k", "s", "x"), parse_row)
-    return table
+    return table, by_codim
 
 
 def tabulated_types(codim):
-    """The tabulated types of the given codimension, in table order."""
-    types = map(MultisingularityType.parse, _table())
-    return [alpha for alpha in types if alpha.codim == codim]
+    """The tabulated types of the given codimension, in table order; new
+    objects on every call, built from the labels parsed once."""
+    return [MultisingularityType(labels) for labels in _table()[1].get(codim, ())]
 
 
 def s_alpha(alpha):
     """The tabulated linear form for a type of codimension <= 4."""
     if isinstance(alpha, str):
         alpha = MultisingularityType.parse(alpha)
-    form = _table().get(alpha.key())
+    form = _table()[0].get(alpha.key())
     if form is None:
         raise KeyError(
             f"multisingularity type {alpha.key()} is not in the table "

@@ -53,34 +53,27 @@ class SetPartition:
         return f"SetPartition({format_partition(self)!r})"
 
 
-# Enumerated partitions share their block tuples, and an r-set has at most
-# 2^r - 1 blocks, so the walk of any r <= MAX_R fits below the limit.
+# Text of each block seen so far, e.g. (1, 2) -> '12', for r <= 9 and for
+# r > 9 (comma-separated).  Enumerated partitions share their block tuples,
+# and an r-set has at most 2^r - 1 blocks, so the walk of any r <= MAX_R
+# fits below the limit; at the limit a table is emptied, so hand-built
+# blocks cannot grow it without bound.
 _BLOCK_TEXT_LIMIT = 1 << MAX_R
-
-
-class _BlockText(dict):
-    """Text of each block seen so far, e.g. (1, 2) -> '12'; emptied when it
-    reaches _BLOCK_TEXT_LIMIT entries, so hand-built blocks cannot grow it
-    without bound."""
-
-    def __init__(self, sep):
-        super().__init__()
-        self.sep = sep
-
-    def __missing__(self, block):
-        if len(self) >= _BLOCK_TEXT_LIMIT:
-            self.clear()
-        text = self[block] = self.sep.join(map(str, block))
-        return text
-
-
-_BLOCK_TEXT = (_BlockText(""), _BlockText(","))  # r <= 9, r > 9
+_BLOCK_TEXT = ({}, {})
+_BLOCK_SEP = ("", ",")
 
 
 def format_partition(pi):
     """Text form '12|345'; elements are comma-separated when r > 9."""
-    text = _BLOCK_TEXT[pi.r > 9]
-    return "|".join([text[b] for b in pi.blocks])
+    wide = pi.r > 9
+    text = _BLOCK_TEXT[wide]
+    try:
+        return "|".join(map(text.__getitem__, pi.blocks))
+    except KeyError:
+        if len(text) + len(pi.blocks) > _BLOCK_TEXT_LIMIT:
+            text.clear()
+        text.update((b, _BLOCK_SEP[wide].join(map(str, b))) for b in pi.blocks)
+        return "|".join(map(text.__getitem__, pi.blocks))
 
 
 def iter_partitions(r):

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import assets, chow, kazarian
 from .exact import SparsePoly
-from .partitions import iter_partitions
+from .partitions import MAX_R, iter_partitions
 
 MAX_I = 15
 
@@ -146,17 +146,34 @@ def node_count(r, chern):
 
 
 def node_count_bruteforce(r, chern):
-    """Independent oracle: sum over all set partitions of [r] of the product
-    of a_{block size}, divided by r!.  Feasible for small r only."""
+    """Independent oracle: Y_r(a_1, ..., a_r)/r! as its definition reads,
+    the sum over the set partitions of [r] of the product of a_{block size}.
+
+    Every partition of [r] is one of [r-1] with r joined to one of its m
+    blocks or set apart as (r,), so the walk is over the B_{r-1} partitions
+    of [r-1], each adding the terms of its m + 1 extensions in one pass.
+    Reading the blocks in order, `kept` is the product of their a_{|B|} and
+    `grown` the sum of those products with one block's factor replaced by
+    a_{|B|+1}, the prefix times the suffix of each placement; there is no
+    division, since an a_i may be zero.  r runs over 0..MAX_R.
+    """
+    if not 0 <= r <= MAX_R:
+        raise ValueError(f"node_count_bruteforce: r must be in 0..{MAX_R}, got {r}")
     if r == 0:
         return 1
     values = [a_form(i).evaluate(chern) for i in range(1, r + 1)]
+    a_1 = values[0]
+    # r = 1 has the single empty prefix, and nothing to enumerate
+    prefixes = (pi.blocks for pi in iter_partitions(r - 1)) if r > 1 else [()]
     total = 0
-    for pi in iter_partitions(r):
-        prod = 1
-        for block in pi.blocks:
-            prod *= values[len(block) - 1]
-        total += prod
+    for blocks in prefixes:
+        kept, grown = 1, 0
+        for block in blocks:
+            size = len(block)
+            value = values[size - 1]
+            grown = grown * value + kept * values[size]
+            kept *= value
+        total += grown + a_1 * kept
     quotient = Fraction(total, math.factorial(r))
     if quotient.denominator != 1:
         raise ArithmeticError(f"brute-force node count is not integral: {quotient}")

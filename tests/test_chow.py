@@ -208,6 +208,10 @@ def test_multiple_point_degrees():
 
 def test_excess_a1a2():
     assert excess_a1a2_p2() == PolyD([144, -192, 60])
+    # computed once; a caller that alters its copy leaves the next one whole
+    excess = excess_a1a2()
+    excess.terms.clear()
+    assert excess_a1a2() == LinearForm(60, 64, 14, 6)
 
 
 def test_polyd_and_linear_form_inherit_the_kernel_arithmetic_and_printer():

@@ -165,6 +165,12 @@ def test_tabulated_types_by_codimension():
     assert sum(by_codim, []) == TABLE_TYPES
     assert by_codim[3] == ["A4", "D4", "A1*A3", "A2^2", "A1^2*A2", "A1^4"]
     assert by_codim[4] == []
+    # the grouping is parsed once, and each call hands out its own objects
+    first = tabulated_types(4)
+    first.clear()
+    types = tabulated_types(4)
+    assert [alpha.key() for alpha in types] == by_codim[3]
+    assert all(a is not b for a, b in zip(types, tabulated_types(4)))
 
 
 def test_sub_type():

@@ -6,6 +6,7 @@ from itertools import islice
 
 import pytest
 
+from nodal_atlas import partitions
 from nodal_atlas.partitions import (
     SetPartition,
     enumerate_partitions,
@@ -151,6 +152,19 @@ def test_format_keeps_separators_apart_for_a_shared_block():
     assert format_partition(large) == "1,2,3,4,5,6,7,8,9|10"
     assert format_partition(SetPartition([[1, 2], [3]])) == "12|3"
     assert format_partition(SetPartition([[1, 2], range(3, 11)])) == "1,2|3,4,5,6,7,8,9,10"
+
+
+def test_format_block_text_stays_bounded(monkeypatch):
+    # hand-built partitions bring new block tuples; at the limit the text
+    # table is emptied and refilled, and the output does not change
+    monkeypatch.setattr(partitions, "_BLOCK_TEXT_LIMIT", 8)
+    monkeypatch.setattr(partitions, "_BLOCK_TEXT", ({}, {}))
+    for r in range(1, 9):
+        for pi in iter_partitions(r):
+            text = format_partition(pi)
+            assert text == "|".join("".join(map(str, b)) for b in pi.blocks)
+            assert len(partitions._BLOCK_TEXT[0]) <= 8
+    assert partitions._BLOCK_TEXT[1] == {}
 
 
 def test_invalid_blocks_rejected():

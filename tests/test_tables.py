@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import random
@@ -12,7 +13,7 @@ from nodal_atlas.bell import SparsePoly, eval_complete_bell, partial_bell
 from nodal_atlas.checks import complete_bell_by_signatures, node_count_by_signatures
 from nodal_atlas.chow import LinearForm, multiple_point_degree
 from nodal_atlas.exact import PolyD
-from nodal_atlas.partitions import integer_partition_signatures, signature_count
+from nodal_atlas.partitions import MAX_R, integer_partition_signatures, signature_count
 from nodal_atlas.tables import (
     MAX_I,
     ChernNumbers,
@@ -123,11 +124,112 @@ def test_node_count_small_values():
 
 
 def test_node_count_matches_bruteforce():
-    for chern in _geometric_surfaces():
-        for r in range(0, 7):
+    surfaces = _geometric_surfaces()
+    for chern in surfaces:
+        for r in range(0, 9):
             assert node_count_bruteforce(r, chern) == node_count(r, chern)
         for r in range(0, MAX_I + 1):
             assert node_count_by_signatures(r, chern) == node_count(r, chern)
+    for chern in (surfaces[3], surfaces[-1]):
+        assert node_count_bruteforce(9, chern) == node_count(9, chern)
+
+
+def _set_partition_sum(elements, values):
+    """Y over the given elements: the block of the first element is chosen
+    with each subset of the rest, the remainder partitioned recursively."""
+    if not elements:
+        return 1
+    rest = elements[1:]
+    total = 0
+    for k in range(len(rest) + 1):
+        for others in itertools.combinations(rest, k):
+            remaining = tuple(e for e in rest if e not in others)
+            total += values[k] * _set_partition_sum(remaining, values)
+    return total
+
+
+def test_bruteforce_with_a_vanishing_first_row():
+    # a_1 = 3d + 2k + x = 0 here, so every partition with a singleton adds 0;
+    # the oracle must not divide by a_1
+    chern = ChernNumbers(2, -4, 10, 2)
+    assert a_form(1).evaluate(chern) == 0
+    values = [a_form(i).evaluate(chern) for i in range(1, 8)]
+    for r in range(0, 10):
+        got = node_count_bruteforce(r, chern)
+        assert got == node_count(r, chern)
+        if r <= 7:
+            assert got * math.factorial(r) == _set_partition_sum(tuple(range(r)), values)
+
+
+def test_bruteforce_raises_where_node_count_raises():
+    # off the adjunction/Noether lattice: 511725174931/12 at r = 4
+    chern = ChernNumbers(292, 48, -8, 55)
+    raised = []
+    for r in range(0, 10):
+        try:
+            want = node_count(r, chern)
+        except ArithmeticError:
+            raised.append(r)
+            with pytest.raises(ArithmeticError):
+                node_count_bruteforce(r, chern)
+        else:
+            assert node_count_bruteforce(r, chern) == want
+    assert raised == list(range(3, 10))
+
+
+def test_bruteforce_range_is_checked_before_any_enumeration(monkeypatch):
+    def refuse(r):
+        raise AssertionError(f"iter_partitions({r}) started")
+
+    monkeypatch.setattr(tables, "iter_partitions", refuse)
+    assert MAX_R == 12
+    for r in (-1, 13):
+        with pytest.raises(ValueError):
+            node_count_bruteforce(r, ChernNumbers.p2(4))
+
+
+# B_0, ..., B_8
+BELL_NUMBERS = (1, 1, 2, 5, 15, 52, 203, 877, 4140)
+
+# node_count_bruteforce(r, .) for r = 0..9, as the sum over all partitions of
+# [r] gave them
+FROZEN_BRUTEFORCE = {
+    ChernNumbers.p2(4): (1, 27, 225, 675, 666, 378, 105, -54432, 1775520, -43072416),
+    ChernNumbers(12, -10, 8, 4): (
+        1, 20, 105, 160, 133, -1884, 46378, -1014528, 20822448, -411104432,
+    ),
+}
+
+
+def test_bruteforce_stays_a_set_partition_sum(monkeypatch):
+    # it walks exactly the B_{r-1} partitions of [r-1], never those of [r],
+    # and reaches its values with every other route to Y_r made to raise
+    from nodal_atlas import bell
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle left the set-partition sum")
+
+    for module, name in ((tables, "node_count"), (bell, "eval_complete_bell"),
+                         (checks, "complete_bell_by_signatures")):
+        monkeypatch.setattr(module, name, refuse)
+    walked = []
+    real = tables.iter_partitions
+
+    def counted(n):
+        walked.append([n, 0])
+        for pi in real(n):
+            walked[-1][1] += 1
+            yield pi
+
+    monkeypatch.setattr(tables, "iter_partitions", counted)
+    for chern, frozen in FROZEN_BRUTEFORCE.items():
+        for r, want in enumerate(frozen):
+            walked.clear()
+            assert node_count_bruteforce(r, chern) == want
+            if r >= 2:
+                assert walked == [[r - 1, BELL_NUMBERS[r - 1]]]
+            else:
+                assert walked == []
 
 
 def test_newton_route_equals_bell_recurrence_over_r_factorial():
