@@ -17,6 +17,14 @@ def data_dir():
     return Path(__file__).parent / "data"
 
 
+def integer(cell):
+    """A JSON integer or integer string as an int; int() would truncate a float
+    or read a boolean as 0 or 1, so both are refused."""
+    if isinstance(cell, bool) or not isinstance(cell, (int, str)):
+        raise ValueError(f"cell {cell!r} is not an integer")
+    return int(cell)
+
+
 def load_rows(name, keys, parse_row, count=None):
     """parse_row(position, row) for each row of the JSON list in asset
     `name`, positions from 1.  Every row needs the given keys, and there

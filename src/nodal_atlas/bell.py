@@ -4,15 +4,15 @@ The complete polynomial is generated once per n from the block-size
 signatures of set partitions (the multinomial count r!/(prod (i!)^j_i j_i!)),
 which keeps a single combinatorial source of truth with the partition-lattice
 layer; a partial polynomial is the slice of it with a given number of
-blocks.  Evaluation (for multiple-point degrees) uses the O(r^2) complete
-Bell recurrence alone; the p(r)-term signature sum is the oracle in `checks`,
-and the tests compare the two routes.  The symbolic node polynomial, in
-`tables`, runs the same recurrence in one variable per Chern number and
-joins the four tables by the binomial convolution
+blocks.  Evaluation (multiple-point degrees, exp of a q-series) uses the
+O(r^2) complete Bell recurrence alone; the p(r)-term signature sum is the
+oracle in `checks`, and the tests compare the two routes.  The symbolic
+node polynomial, in `tables`, runs the same recurrence in one variable per
+Chern number and joins the four tables by the binomial convolution
 Y_n(u + v) = sum_j C(n, j) Y_j(u) Y_{n-j}(v), over packed integer exponents;
 numeric node counts there use Newton's identity instead, which needs neither
-binomials nor the division by r!.  Cached polynomials are shared: callers
-must not mutate them.
+binomials nor the division by r!.  Cached polynomials are shared, and
+their terms are read-only.
 """
 
 from __future__ import annotations
@@ -62,19 +62,21 @@ def partial_bell(n, l):
     return complete._new({e: c for e, c in complete.terms.items() if sum(e) == l})
 
 
-def eval_complete_bell(r, values):
-    """Evaluate the r-th complete Bell polynomial at the given values.
-
-    Uses the recurrence Y_n = sum_{k=1}^{n} C(n-1, k-1) x_k Y_{n-k}, Y_0 = 1,
-    in O(r^2) ring operations: integer inputs give an int, rational inputs a
-    Fraction.
-    """
-    _check_r(r, lo=0)
-    if len(values) < r:
-        raise ValueError(f"need at least {r} values, got {len(values)}")
+def complete_bell_sequence(values):
+    """[Y_0, ..., Y_n] at x_1..x_n = values, by the recurrence
+    Y_n = sum_{k=1}^{n} C(n-1, k-1) x_k Y_{n-k}, Y_0 = 1, in O(n^2) ring
+    operations: integer inputs give ints, rational inputs Fractions."""
     y = [1]
-    for n in range(1, r + 1):
+    for n in range(1, len(values) + 1):
         y.append(
             sum(math.comb(n - 1, k - 1) * values[k - 1] * y[n - k] for k in range(1, n + 1))
         )
-    return y[r]
+    return y
+
+
+def eval_complete_bell(r, values):
+    """Evaluate the r-th complete Bell polynomial at the given values."""
+    _check_r(r, lo=0)
+    if len(values) < r:
+        raise ValueError(f"need at least {r} values, got {len(values)}")
+    return complete_bell_sequence(values[:r])[r]

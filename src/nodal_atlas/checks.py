@@ -172,9 +172,7 @@ def check_closed_vs_extraction():
 
 def check_table_rows():
     for i, row in REFERENCE_A_ROWS.items():
-        form = a_form(i)
-        sf = form.sign_factorial()
-        got = (sf * form.D, sf * form.E, sf * form.F, sf * form.G)
+        got = a_form(i).signed()
         if got != row:
             return CheckResult("coefficient table rows 1..8", False, f"row {i}: {got}")
     return CheckResult("coefficient table rows 1..8", True)

@@ -85,52 +85,35 @@ class GradedClass(SparsePoly):
     def __init__(self, terms=None):
         super().__init__(4, terms)
 
-    @classmethod
-    def one(cls):
-        return cls({(0, 0, 0, 0): 1})
 
-    @classmethod
-    def gen_L(cls):
-        return cls({(1, 0, 0, 0): 1})
-
-    @classmethod
-    def gen_K(cls):
-        return cls({(0, 1, 0, 0): 1})
-
-    @classmethod
-    def gen_x(cls):
-        return cls({(0, 0, 1, 0): 1})
-
-    @classmethod
-    def gen_H(cls):
-        return cls({(0, 0, 0, 1): 1})
+# The generators L, K, x, H of the surface ring, shared: their terms are read-only.
+L, K, X, H = (GradedClass({e: 1}) for e in _UNITS)
 
 
 def critical_class():
     """Class of the locus of curves with a marked singularity:
     (L+H)^3 + K(L+H)^2 + x(L+H), truncated."""
-    v = GradedClass.gen_L() + GradedClass.gen_H()
-    K, x = GradedClass.gen_K(), GradedClass.gen_x()
-    return v**3 + K * v**2 + x * v
+    v = L + H
+    return v**3 + K * v**2 + X * v
 
 
 def chern_principal_parts():
     """Total Chern class of the rank-3 bundle cutting out the critical locus:
     ((1 + L + H)^2 + (1 + L + H)K + x) * (1 + L + H)."""
-    u = 1 + GradedClass.gen_L() + GradedClass.gen_H()
-    return (u**2 + u * GradedClass.gen_K() + GradedClass.gen_x()) * u
+    u = 1 + L + H
+    return (u**2 + u * K + X) * u
 
 
 def tangent_chern():
     """Total Chern class of the relative tangent bundle: 1 - K + x."""
-    return 1 - GradedClass.gen_K() + GradedClass.gen_x()
+    return 1 - K + X
 
 
 def inverse_tangent_chern():
     """1 + K + (K^2 - x): the geometric series of 1/(1 - u) with
     u = 1 - c(T) = K - x, which ends because u is nilpotent."""
     u = 1 - tangent_chern()
-    result = term = GradedClass.one()
+    result = term = 1
     while term:
         term = term * u
         result = result + term
@@ -189,20 +172,14 @@ def c_correction(n):
 
 
 @lru_cache(maxsize=1)
-def _excess():
-    factor = (GradedClass.gen_L() + GradedClass.gen_K() + GradedClass.gen_H()) * 2
-    return pushforward_to_Y(_class_table()[1] * factor, 3)
-
-
 def excess_a1a2():
     """Excess contribution of the cuspidal diagonal to the node-plus-cusp
     product, pi_*[H^3] (cls_2 (2(L+K) + 2H)), a linear form in the four Chern
     numbers.  The plane formula's 2(d-3)l is 2(L+K) on P^2; its lift to every
     surface is an observed identity, held exactly by the Thom table's
-    S_{A1A2} = -3(E/2 + S_{A3}).  Computed once; each call returns a fresh
-    form over a copy of its terms, so no caller can alter the cached one."""
-    excess = _excess()
-    return excess._new(dict(excess.terms))
+    S_{A1A2} = -3(E/2 + S_{A3}).  Computed once and shared."""
+    factor = (L + K + H) * 2
+    return pushforward_to_Y(_class_table()[1] * factor, 3)
 
 
 class P2Class(SparsePoly):

@@ -103,6 +103,18 @@ def _emit(args, text_lines, payload, csv_rows=None):
         csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows or [])
 
 
+def _emit_form(args, payload, form):
+    """A linear form in (d, k, s, x) as text, as payload["form"] or as a CSV row."""
+    cells = form.to_dict()
+    _emit(args, [str(form)], dict(payload, form=cells), [list(cells), list(cells.values())])
+
+
+def _emit_coefficients(args, text, payload, coefficients, index):
+    """A coefficient list as `text`, as payload["coefficients"] or as CSV rows."""
+    rows = [[index, "coefficient"], *enumerate(coefficients)]
+    _emit(args, [text], dict(payload, coefficients=coefficients), rows)
+
+
 def _cmd_count(args):
     _check_range("--nodes", args.nodes, 0, MAX_I)
     chern = _surface(args)
@@ -147,10 +159,7 @@ def _cmd_qn(args):
         if getattr(args, flag):
             _check_range(f"--n with --{flag}", args.n, 1, Q_MAX)
     if args.general:
-        form = q_general(args.n)
-        payload = {"command": "qn", "n": args.n, "surface": "general", "form": form.to_dict()}
-        rows = [["d", "k", "s", "x"], [form.to_dict()[c] for c in ("d", "k", "s", "x")]]
-        _emit(args, [str(form)], payload, rows)
+        _emit_form(args, {"command": "qn", "n": args.n, "surface": "general"}, q_general(args.n))
         return EXIT_OK
     closed = q_p2_closed(args.n)
     if args.oracle or args.extraction:
@@ -161,20 +170,15 @@ def _cmd_qn(args):
             )
         if args.extraction:
             closed = extracted
-    payload = {"command": "qn", "n": args.n, "surface": "p2", "coefficients": closed.to_list()}
-    _emit(args, [str(closed)], payload, [["degree", "coefficient"]] + [
-        [i, c] for i, c in enumerate(closed.to_list())
-    ])
+    payload = {"command": "qn", "n": args.n, "surface": "p2"}
+    _emit_coefficients(args, str(closed), payload, closed.to_list(), "degree")
     return EXIT_OK
 
 
 def _cmd_cn(args):
     _check_range("--n", args.n, 1, 4)  # no correction term is known past C_4
     poly = c_correction_p2(args.n)
-    payload = {"command": "cn", "n": args.n, "coefficients": poly.to_list()}
-    _emit(args, [str(poly)], payload, [["degree", "coefficient"]] + [
-        [i, c] for i, c in enumerate(poly.to_list())
-    ])
+    _emit_coefficients(args, str(poly), {"command": "cn", "n": args.n}, poly.to_list(), "degree")
     return EXIT_OK
 
 
@@ -230,10 +234,7 @@ def _cmd_partitions(args):
 def _cmd_kazarian(args):
     alpha = MultisingularityType.parse(args.type)
     if args.degree is None and args.chern is None:
-        form = s_alpha(alpha)
-        payload = {"command": "kazarian", "type": alpha.key(), "form": form.to_dict()}
-        rows = [["d", "k", "s", "x"], [form.to_dict()[c] for c in ("d", "k", "s", "x")]]
-        _emit(args, [str(form)], payload, rows)
+        _emit_form(args, {"command": "kazarian", "type": alpha.key()}, s_alpha(alpha))
         return EXIT_OK
     chern = _surface(args)
     value = count_multisingular(alpha, chern)
@@ -244,6 +245,15 @@ def _cmd_kazarian(args):
     payload = {"command": "kazarian", "type": alpha.key(), "count": str(value.numerator)}
     _emit(args, [str(value.numerator)], payload, [["type", "count"], [alpha.key(), value.numerator]])
     return EXIT_OK
+
+
+# `series --NAME` at (--order, --order capped at the extent of the table)
+_SERIES = {
+    "g2": lambda order, table_order: eisenstein_g2(order),
+    "delta": lambda order, table_order: discriminant(order),
+    "b1": lambda order, table_order: recover_b1(table_order, all_forms()),
+    "b2": lambda order, table_order: recover_b2(table_order, all_forms()),
+}
 
 
 def _cmd_series(args):
@@ -257,31 +267,20 @@ def _cmd_series(args):
         residual = gyz_channel_residual(args.channel, table_order, all_forms())
         ok = residual.is_zero()
         coefficients = residual.to_list()
-        text = ["residual: 0"] if ok else [f"residual: {coefficients}"]
+        text = "residual: 0" if ok else f"residual: {coefficients}"
         payload = {
             "command": "series",
             "series": "gyz-residual",
             "channel": args.channel,
             "order": table_order,
             "zero": ok,
-            "coefficients": coefficients,
         }
-        rows = [["n", "coefficient"]] + [[n, c] for n, c in enumerate(coefficients)]
-        _emit(args, text, payload, rows)
+        _emit_coefficients(args, text, payload, coefficients, "n")
         return EXIT_OK if ok else EXIT_INCONSISTENT
-    if args.which == "g2":
-        series, name = eisenstein_g2(order), "g2"
-    elif args.which == "delta":
-        series, name = discriminant(order), "delta"
-    elif args.which == "b1":
-        series, name = recover_b1(table_order, all_forms()), "b1"
-    else:
-        series, name = recover_b2(table_order, all_forms()), "b2"
+    series = _SERIES[args.which](order, table_order)
     coefficients = series.to_list()
-    payload = {"command": "series", "series": name, "order": series.order,
-               "coefficients": coefficients}
-    rows = [["n", "coefficient"]] + [[n, c] for n, c in enumerate(coefficients)]
-    _emit(args, [", ".join(coefficients)], payload, rows)
+    payload = {"command": "series", "series": args.which, "order": series.order}
+    _emit_coefficients(args, ", ".join(coefficients), payload, coefficients, "n")
     return EXIT_OK
 
 
@@ -394,17 +393,15 @@ def build_parser():
 
     p = sub.add_parser("series", parents=[common], help="exact q-series")
     which = p.add_mutually_exclusive_group()
-    which.add_argument("--g2", dest="which", action="store_const", const="g2")
-    which.add_argument("--delta", dest="which", action="store_const", const="delta")
-    which.add_argument("--b1", dest="which", action="store_const", const="b1")
-    which.add_argument("--b2", dest="which", action="store_const", const="b2")
+    for name in _SERIES:
+        which.add_argument(f"--{name}", dest="which", action="store_const", const=name)
     which.add_argument("--gyz-check", dest="gyz_check", action="store_true",
                        help="residual of one channel of the log generating identity")
     p.add_argument("--channel", choices=("d", "k", "s", "x"))
     p.add_argument("--order", type=int, default=TABLE_ORDER,
                    help=f"truncation order, 0..{MAX_SERIES_ORDER} (--b1, --b2 and "
                    f"--gyz-check stop at {TABLE_ORDER})")
-    p.set_defaults(run=_cmd_series, which=None, gyz_check=False)
+    p.set_defaults(run=_cmd_series, which="g2", gyz_check=False)
 
     p = sub.add_parser("ratios", parents=[common],
                        help="consecutive-row ratios of the coefficient table")
@@ -419,8 +416,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "which", None) is None and args.command == "series" and not args.gyz_check:
-        args.which = "g2"
     try:
         return args.run(args)
     except BrokenPipeError:

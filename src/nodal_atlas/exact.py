@@ -20,6 +20,7 @@ import math
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import add, and_, mul, rshift
+from types import MappingProxyType
 
 
 def binomial(n, k):
@@ -76,11 +77,19 @@ def _product(a, b, off, mask):
     return {k: c for k, c in out.items() if c}
 
 
+def _restore(cls, arity, terms):
+    out = object.__new__(cls)
+    out.arity = arity
+    out.terms = MappingProxyType(terms)
+    return out
+
+
 class SparsePoly:
     """Multivariate polynomial as a map from exponent tuples to int or
     Fraction coefficients.
 
     All exponent tuples share one arity; zero coefficients are never stored.
+    ``terms`` is a read-only view, so a cached polynomial is safely shared.
     A truncated ring is a subclass that declares ``caps``, pairs
     (weights, bound) that keep a monomial e only while weights.e <= bound
     for every pair.  The dropped monomials span an ideal, so dropping them
@@ -96,7 +105,7 @@ class SparsePoly:
 
     def __init__(self, arity, terms=None):
         self.arity = arity
-        self.terms = {}
+        kept = {}
         caps = self.caps
         for expo, c in (terms or {}).items():
             expo = tuple(expo)
@@ -105,14 +114,16 @@ class SparsePoly:
             if not isinstance(c, (int, Fraction)):
                 c = Fraction(c)
             if c and (not caps or all(sum(map(mul, w, expo)) <= b for w, b in caps)):
-                self.terms[expo] = c
+                kept[expo] = c
+        self.terms = MappingProxyType(kept)
 
     def _new(self, terms):
         """An element of the same ring from clean, kept terms."""
-        out = object.__new__(type(self))
-        out.arity = self.arity
-        out.terms = terms
-        return out
+        return _restore(type(self), self.arity, terms)
+
+    def __reduce__(self):
+        # pickle and deepcopy cannot copy the read-only view, only its dict
+        return _restore, (type(self), self.arity, dict(self.terms))
 
     def _coerce(self, other):
         """other as an element of this ring, or None."""
@@ -135,7 +146,7 @@ class SparsePoly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        out = dict(self.terms)
+        out = self.terms.copy()
         for expo, c in other.terms.items():
             s = out.get(expo, 0) + c
             if s:

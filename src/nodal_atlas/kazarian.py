@@ -16,7 +16,8 @@ from .partitions import iter_partitions
 
 CODIM = {"A1": 1, "A2": 2, "A3": 3, "A4": 4, "D4": 4}
 
-_LABEL_RE = re.compile(r"^(A[1-4]|D4)(?:\^(\d+))?$")
+# An exponent of 0 does not parse: A1^0*A2 is not A2.
+_LABEL_RE = re.compile(r"^(A[1-4]|D4)(?:\^(0*[1-9]\d*))?$")
 # Every label has codimension >= 1 and the table stops at codimension 4.
 MAX_CODIM = 4
 
@@ -100,7 +101,7 @@ def _table():
         key = alpha.key()
         if key in table:
             raise ValueError(f"duplicate type {key}")
-        table[key] = LinearForm(*(int(row[c]) for c in "dksx"))
+        table[key] = LinearForm(*(assets.integer(row[c]) for c in "dksx"))
         by_codim.setdefault(alpha.codim, []).append(alpha.labels)
 
     assets.load_rows("kazarian.json", ("labels", "d", "k", "s", "x"), parse_row)

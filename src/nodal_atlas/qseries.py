@@ -44,6 +44,7 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
+from .bell import complete_bell_sequence
 from .exact import format_rational
 
 DEFAULT_ORDER = 16
@@ -97,31 +98,19 @@ class PowerSeries:
 def series_exp(s):
     """exp of a series with zero constant term.
 
-    With the coefficients over one common denominator D, c_k = p_k / D, the
-    scaled coefficients e_n = n! D^n E_n of the exponential obey the integer
-    recurrence e_n = sum_{k=1}^{n} k p_k D^{k-1} ((n-1)!/(n-k)!) e_{n-k},
-    e_0 = 1, so the only divisions are E_n = e_n / (n! D^n).
+    exp(sum_k c_k q^k) = sum_n Y_n(1! c_1, ..., n! c_n) q^n / n!, and Y_n is
+    homogeneous of weight n.  With the coefficients over one common
+    denominator D, c_k = p_k / D, it is evaluated at the integers
+    k! p_k D^{k-1}, so the only divisions are E_n = Y_n / (n! D^n).
     """
     if s[0] != 0:
         raise ValueError("series_exp requires constant term 0")
-    t = s.order
     den = math.lcm(*(c.denominator for c in s.coeffs))
-    w = [  # w_k = k p_k D^(k-1)
-        k * c.numerator * (den // c.denominator) * den ** (k - 1)
-        for k, c in enumerate(s.coeffs)
-    ]
-    e = [1] + [0] * t
-    for n in range(1, t + 1):
-        acc, falling = 0, 1  # falling = (n-1)!/(n-k)!
-        for k in range(1, n + 1):
-            acc += w[k] * falling * e[n - k]
-            falling *= n - k
-        e[n] = acc
-    out, scale = [1], 1
-    for n in range(1, t + 1):
-        scale *= n * den
-        out.append(Fraction(e[n], scale))
-    return PowerSeries(out, t)
+    ys = complete_bell_sequence([
+        math.factorial(k) * c.numerator * (den // c.denominator) * den ** (k - 1)
+        for k, c in enumerate(s.coeffs[1:], start=1)
+    ])
+    return PowerSeries([Fraction(y, math.factorial(n) * den**n) for n, y in enumerate(ys)])
 
 
 def series_log(s):

@@ -50,10 +50,14 @@ class NodeLinearForm(namedtuple("NodeLinearForm", "i D E F G")):
     def evaluate(self, chern):
         return self.sign_factorial() * self.linear_value(chern)
 
+    def signed(self):
+        """The signed row (-1)^{i-1} (i-1)! (D, E, F, G): the cells of a_i."""
+        sf = self.sign_factorial()
+        return (sf * self.D, sf * self.E, sf * self.F, sf * self.G)
+
     def linear_form(self):
         """a_i as a chow.LinearForm (sign and factorial folded in)."""
-        sf = self.sign_factorial()
-        return chow.LinearForm(sf * self.D, sf * self.E, sf * self.F, sf * self.G)
+        return chow.LinearForm(*self.signed())
 
 
 def _parse_row(position, row):
@@ -61,16 +65,15 @@ def _parse_row(position, row):
     and its signed row `a` must equal (-1)^{i-1} (i-1)! (D, E, F, G).  The
     reduced row `a_tilde` is not checked: row 14 prints one x-cell with the
     wrong sign (see TILDE_EXEMPT_CELLS)."""
-    i = int(row["i"])
+    i = assets.integer(row["i"])
     if i != position or i > MAX_I:
         raise ValueError(f"has i={i}; rows must run contiguously from 1 to {MAX_I}")
-    form = NodeLinearForm(i, int(row["D"]), int(row["E"]), int(row["F"]), int(row["G"]))
-    a = tuple(int(c) for c in row["a"])
-    sf = form.sign_factorial()
-    want = (sf * form.D, sf * form.E, sf * form.F, sf * form.G)
+    form = NodeLinearForm(i, *(assets.integer(row[c]) for c in "DEFG"))
+    a = tuple(map(assets.integer, row["a"]))
+    want = form.signed()
     if a != want:
         raise ValueError(f"a = {list(a)} but (-1)^(i-1) (i-1)! (D, E, F, G) = {list(want)}")
-    return {"form": form, "a_tilde": tuple(int(c) for c in row["a_tilde"])}
+    return {"form": form, "a_tilde": tuple(map(assets.integer, row["a_tilde"]))}
 
 
 @lru_cache(maxsize=None)
@@ -107,9 +110,7 @@ def tilde_consistency(i):
     agree except the x-cell of row 14, whose printed sign is inconsistent;
     the a_i row is authoritative there.
     """
-    form = a_form(i)
-    sf = (-1) ** (i - 1)
-    derived = (sf * form.D, sf * form.E, sf * form.F, sf * form.G)
+    derived = (c // math.factorial(i - 1) for c in a_form(i).signed())
     return [a == b for a, b in zip(derived, a_tilde_raw(i))]
 
 
@@ -225,7 +226,7 @@ def _bell_ys():
     ys = [{0: 1}] + [{}] * MAX_I
     for channel in _MERGE_ORDER:
         unit = _UNITS[channel]
-        weights = [f.sign_factorial() * (f.D, f.E, f.F, f.G)[channel] for f in forms]
+        weights = [f.signed()[channel] for f in forms]
         powers = [[(e * unit, c) for e, c in enumerate(p) if c] for p in _channel_table(weights)]
         merged = []
         for n in range(MAX_I + 1):
@@ -249,10 +250,9 @@ def _node_terms():
     """Index r in 1..MAX_I: the terms of Y_r/r! as {exponent tuple: Fraction}.
 
     The whole table is built in one pass on first use, from the a_i as
-    `_rows` first loaded them, so every later node polynomial costs one dict
-    copy, whichever r comes first.  Each distinct packed key is unpacked
-    once, and the node polynomials share its tuple.  Callers must not
-    mutate it.
+    `_rows` first loaded them, so every later node polynomial costs one
+    read-only view, whichever r comes first.  Each distinct packed key is
+    unpacked once, and the node polynomials share its tuple.
     """
     ys = _bell_ys()
     exponents = {key: _unpack(key) for key in set().union(*ys)}
@@ -270,12 +270,11 @@ def node_polynomial(r):
     Y_r comes from `_bell_ys`, the binomial convolution of one integer Bell
     table per Chern number, run once per process for every r <= MAX_I on
     packed exponents.  The only division is the exact one by r!; the result
-    is a fresh SparsePoly over a copy of the cached terms, so no caller can
-    alter them.
+    is a SparsePoly over the cached terms, which its read-only view guards.
     """
     if not 1 <= r <= MAX_I:
         raise ValueError(f"node_polynomial: r must be in 1..{MAX_I}, got {r}")
-    return SparsePoly(4)._new(dict(_node_terms()[r]))
+    return SparsePoly(4)._new(_node_terms()[r])
 
 
 def severi_degree_p2(d, r):

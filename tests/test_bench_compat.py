@@ -48,7 +48,7 @@ def test_traced_kernel_jobs_verify(bench):
 
     # a benchmark pass runs in a fresh interpreter; empty the excess cache,
     # which earlier tests fill, so that its products are traced here too
-    chow._excess.cache_clear()
+    chow.excess_a1a2.cache_clear()
 
     untraced_mul = SparsePoly.__mul__
     tracer = tracing.Tracer()

@@ -6,7 +6,9 @@ import pytest
 from nodal_atlas import chow
 from nodal_atlas.chow import (
     H_CAP,
+    K,
     Q_MAX,
+    X,
     GradedClass,
     LinearForm,
     P2Class,
@@ -102,10 +104,9 @@ def test_corrections_and_excess_in_four_variables():
 
 
 def test_inverse_tangent_chern_closed_form():
-    K = GradedClass.gen_K()
-    x = GradedClass.gen_x()
-    assert inverse_tangent_chern() == GradedClass.one() + K + K * K - x
-    assert tangent_chern() * inverse_tangent_chern() == GradedClass.one()
+    one = GradedClass({(0, 0, 0, 0): 1})
+    assert inverse_tangent_chern() == one + K + K * K - X
+    assert tangent_chern() * inverse_tangent_chern() == one
 
 
 def _random_class(rng, max_h=6):
@@ -138,7 +139,7 @@ def test_pushforward_linearity_random():
 
 def test_pushforward_cap():
     with pytest.raises(ValueError):
-        pushforward_to_Y(GradedClass.one(), H_CAP + 1)
+        pushforward_to_Y(GradedClass({(0, 0, 0, 0): 1}), H_CAP + 1)
 
 
 def test_critical_class_degree_one_part():
@@ -208,9 +209,13 @@ def test_multiple_point_degrees():
 
 def test_excess_a1a2():
     assert excess_a1a2_p2() == PolyD([144, -192, 60])
-    # computed once; a caller that alters its copy leaves the next one whole
+    # computed once and shared; an in-place change raises, and the next call
+    # returns it whole
     excess = excess_a1a2()
-    excess.terms.clear()
+    with pytest.raises(AttributeError):
+        excess.terms.clear()
+    with pytest.raises(TypeError):
+        excess.terms[(1, 0, 0, 0)] = 0
     assert excess_a1a2() == LinearForm(60, 64, 14, 6)
 
 

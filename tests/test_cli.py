@@ -173,6 +173,14 @@ def test_kazarian_bad_type(capsys):
     assert code == 2
 
 
+def test_kazarian_type_refuses_a_zero_exponent(capsys):
+    for text, token in (("A1^0*A2", "A1^0"), ("A1^0", "A1^0"), ("A2*A1^00", "A1^00")):
+        for surface in ((), ("--degree", "4")):
+            code, out, err = run_cli(capsys, "kazarian", "--type", text, *surface)
+            assert (code, out) == (2, ""), (text, surface)
+            assert err == f"error: cannot parse multisingularity token {token!r}\n"
+
+
 def test_kazarian_type_is_bounded_before_any_work(capsys, monkeypatch):
     import nodal_atlas.kazarian as kz
 
@@ -401,11 +409,16 @@ def _corrupt_rows(rows, how):
         del rows[3]["a_tilde"]
     elif how == "signed-row":
         rows[9]["a"][2] = str(int(rows[9]["a"][2]) + 1)
+    elif how == "float-cell":  # int() would read 3 and 3 here, a consistent row
+        rows[0]["D"], rows[0]["a"][0] = 3.9, 3.2
+    elif how == "bool-cell":  # int() would read row 1's index as 1
+        rows[0]["i"] = True
     return rows
 
 
 @pytest.mark.parametrize("how, row", [
     ("gap", 7), ("short", 15), ("extra", 16), ("missing-key", 4), ("signed-row", 10),
+    ("float-cell", 1), ("bool-cell", 1),
 ])
 def test_bad_table_data_exits_2(tmp_path, monkeypatch, capsys, how, row):
     import shutil
@@ -438,11 +451,15 @@ def _corrupt_thom_rows(rows, how):
         rows[2]["labels"] = "A9"
     elif how == "duplicate-type":
         rows[4]["labels"] = rows[1]["labels"]
+    elif how == "float-cell":
+        rows[0]["d"] = 3.7
+    elif how == "bool-cell":
+        rows[0]["k"] = True
     return rows
 
 
 @pytest.mark.parametrize("how, row", [
-    ("missing-d", 1), ("bad-label", 3), ("duplicate-type", 5),
+    ("missing-d", 1), ("bad-label", 3), ("duplicate-type", 5), ("float-cell", 1), ("bool-cell", 1),
 ])
 def test_bad_thom_data_exits_2(tmp_path, monkeypatch, capsys, how, row):
     import shutil
@@ -607,4 +624,68 @@ def test_check_output_digest(capsys):
         digest.update(out.encode())
     assert digest.hexdigest() == (
         "ae7d3151aee667bd35af938e24ecd739fb8e17c5629dc38d34f772499b64100e"
+    )
+
+
+def _bell_surface():
+    for n in range(1, 16):
+        yield ("bell", "complete", "--n", str(n))
+    for n in (*range(1, 9), 15):
+        for blocks in range(1, n + 1):
+            yield ("bell", "partial", "--n", str(n), "--blocks", str(blocks))
+
+
+def _count_surface():
+    from nodal_atlas.checks import ORACLE_SURFACES
+
+    for degree in range(1, 7):
+        for r in range(16):
+            yield ("count", "--degree", str(degree), "--nodes", str(r))
+    for chern in ORACLE_SURFACES:
+        for r in range(16):
+            yield ("count", "--chern", ",".join(map(str, chern)), "--nodes", str(r))
+    for r in (1, 5, 9, 12):
+        yield ("count", "--degree", "7", "--nodes", str(r), "--oracle")
+        yield ("count", "--chern", "12,-10,8,4", "--nodes", str(r), "--oracle")
+
+
+def _kazarian_count_surface():
+    for alpha in THOM_TYPES:
+        for surface in (("--degree", "4"), ("--chern", "4,0,0,24")):
+            yield ("kazarian", "--type", alpha, *surface)
+
+
+@pytest.mark.parametrize("surface, want", [
+    (_bell_surface, "512819baaae82ad357a1568d85b1dd3f9d318245b771cf93eb78f8d01b559a1b"),
+    (_count_surface, "8787baa92fd436acdc695b6e6ea98e13200d5361d880f6177a3f05c42f794a64"),
+    (_kazarian_count_surface, "80239934ec0ccd64ba931eb497bd566f937b4af829ac9036fffc3cf0af4bf46f"),
+], ids=("bell", "count", "kazarian"))
+def test_counts_and_bell_output_digest(capsys, surface, want):
+    # SHA-256 of the stdout of every Bell polynomial, node count and
+    # multisingularity count above (argv outer, format inner), captured while
+    # the CLI built each payload and CSV table in its own subcommand
+    digest = hashlib.sha256()
+    for argv in surface():
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, *argv, "--format", fmt)
+            assert (code, err) == (0, ""), argv
+            digest.update(out.encode())
+    assert digest.hexdigest() == want
+
+
+@pytest.mark.skipif(sys.version_info[:2] != (3, 11),
+                    reason="argparse lays out help differently in other Python versions")
+def test_help_output_digest(capsys, monkeypatch):
+    # SHA-256 of the --help text of the top level and of every subcommand at
+    # 80 columns, captured while each `series` flag was registered by hand
+    monkeypatch.setenv("COLUMNS", "80")
+    digest = hashlib.sha256()
+    for command in ((), ("count",), ("zr",), ("qn",), ("cn",), ("bell",), ("partitions",),
+                    ("kazarian",), ("series",), ("ratios",), ("check",)):
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main([*command, "--help"])
+        assert exit_info.value.code == 0, command
+        digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "7aa931f0b5042c221693eec49bd5b3ea3f906607fbbd8200a869e1bd546279df"
     )

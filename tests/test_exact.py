@@ -1,10 +1,14 @@
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 
-from nodal_atlas.chow import H_CAP, GradedClass, P2Class
+from nodal_atlas import bell, chow, kazarian, tables
+from nodal_atlas.chow import H, H_CAP, GradedClass, LinearForm, P2Class
 from nodal_atlas.exact import PolyD, SparsePoly, binomial, format_rational
 
 
@@ -144,7 +148,7 @@ def test_packed_powers_equal_repeated_schoolbook_products():
 def test_packed_power_of_a_binomial():
     x_plus_1 = SparsePoly(1, {(1,): 1, (0,): 1})
     assert (x_plus_1**300).terms == {(k,): math.comb(300, k) for k in range(301)}
-    assert (GradedClass.gen_H() + 1) ** 300 == GradedClass(
+    assert (H + 1) ** 300 == GradedClass(
         {(0, 0, 0, k): math.comb(300, k) for k in range(H_CAP + 1)}
     )
 
@@ -155,3 +159,42 @@ def test_negative_exponent_raises_when_packed():
     for op in (lambda: bad * good, lambda: good * bad, lambda: bad**2):
         with pytest.raises(ValueError):
             op()
+
+
+# Every polynomial a cache hands out, shared by all its callers.
+CACHED_VALUES = {
+    "complete_bell": lambda: bell.complete_bell(4),
+    "partial_bell": lambda: bell.partial_bell(6, 3),
+    "class_table": lambda: chow._class_table()[1],
+    "m_poly_p2": lambda: chow.m_poly_p2(3),
+    "c_correction_p2": lambda: chow.c_correction_p2(3),
+    "excess_a1a2": chow.excess_a1a2,
+    "s_alpha": lambda: kazarian.s_alpha("A1"),
+    "node_polynomial": lambda: tables.node_polynomial(3),
+}
+
+
+def test_cached_values_refuse_in_place_changes():
+    for name, get in CACHED_VALUES.items():
+        value = get()
+        want = dict(value.terms)
+        with pytest.raises(TypeError):
+            value.terms[next(iter(want))] = 0
+        with pytest.raises(AttributeError):
+            value.terms.clear()
+        assert get().terms == want, name
+    assert chow.multiple_point_degree(3, 5) == 77310
+    assert kazarian.count_multisingular("A1", tables.ChernNumbers.p2(4)) == 27
+
+
+@pytest.mark.parametrize("value", [
+    SparsePoly(2, {(1, 0): 3, (0, 2): Fraction(-1, 2)}),
+    PolyD([1, -2, Fraction(3, 4)]),
+    LinearForm(3, 2, 0, 1),
+    GradedClass({(1, 0, 0, 2): 5, (0, 0, 1, 0): -1}),
+    P2Class({(2, 1, 1): Fraction(7, 2)}),
+], ids=lambda value: type(value).__name__)
+def test_pickle_and_copies_round_trip(value):
+    for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+        assert type(twin) is type(value) and twin == value
+        assert isinstance(twin.terms, MappingProxyType)

@@ -439,10 +439,14 @@ def test_channel_tables_are_partial_bell_sums():
 
 
 def test_node_polynomial_results_are_fresh():
+    # the terms are the cached ones, shared: an in-place change raises, and
+    # the next call returns them whole
     first = node_polynomial(6)
     want = dict(first.terms)
-    first.terms.clear()
-    first.terms[(9, 9, 9, 9)] = Fraction(1)
+    with pytest.raises(AttributeError):
+        first.terms.clear()
+    with pytest.raises(TypeError):
+        first.terms[(9, 9, 9, 9)] = Fraction(1)
     assert node_polynomial(6).terms == want
     assert node_polynomial(7).evaluate([16, -12, 9, 3]) == node_count(7, ChernNumbers.p2(4))
 
