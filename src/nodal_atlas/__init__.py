@@ -31,7 +31,7 @@ from .bell import (
     partial_bell,
 )
 from .exact import PolyD, SparsePoly, binomial
-from .kazarian import MultisingularityType, aut_order, count_multisingular, s_alpha
+from .kazarian import aut_order, count_multisingular, parse_type, s_alpha, type_key
 from .partitions import (
     SetPartition,
     enumerate_partitions,

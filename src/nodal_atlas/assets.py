@@ -7,7 +7,10 @@ from __future__ import annotations
 
 import json
 import os
+import re
 from pathlib import Path
+
+_DIGITS = re.compile(r"-?[0-9]+")
 
 
 def data_dir():
@@ -18,11 +21,12 @@ def data_dir():
 
 
 def integer(cell):
-    """A JSON integer or integer string as an int; int() would truncate a float
-    or read a boolean as 0 or 1, so both are refused."""
-    if isinstance(cell, bool) or not isinstance(cell, (int, str)):
-        raise ValueError(f"cell {cell!r} is not an integer")
-    return int(cell)
+    """A JSON integer, or a string of ASCII digits after an optional minus
+    sign, as an int.  int() would truncate a float, read a boolean as 0 or 1
+    and read '1_000', ' 7 ' or a non-ASCII digit, so all of these are refused."""
+    if type(cell) is int or isinstance(cell, str) and _DIGITS.fullmatch(cell):
+        return int(cell)
+    raise ValueError(f"cell {cell!r} is not an integer")
 
 
 def load_rows(name, keys, parse_row, count=None):

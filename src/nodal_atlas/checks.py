@@ -143,6 +143,7 @@ ORACLE_SURFACES = (
 )
 
 
+# A check returns (ok, detail); run_all names its line from ALL_CHECKS.
 CheckResult = namedtuple("CheckResult", "name ok detail", defaults=("",))
 
 
@@ -150,74 +151,63 @@ def check_equivalence_forms():
     q1 = chow.q_general(1)
     q2 = chow.q_general(2)
     ok = q1 == chow.LinearForm(3, 2, 0, 1) and q2 == chow.LinearForm(18, 15, 2, 3)
-    return CheckResult("diagonal equivalence forms Q1, Q2", ok, f"Q1={q1}, Q2={q2}")
+    return ok, f"Q1={q1}, Q2={q2}"
 
 
 def check_plane_equivalence_table():
     for n, want in REFERENCE_Q_P2.items():
         if chow.q_p2_closed(n) != want or chow.q_p2_extraction(n) != want:
-            return CheckResult("plane equivalence/correction table", False, f"Q_{n} mismatch")
+            return False, f"Q_{n} mismatch"
     for n, want in REFERENCE_C_P2.items():
         if chow.c_correction_p2(n) != want:
-            return CheckResult("plane equivalence/correction table", False, f"C_{n} mismatch")
-    return CheckResult("plane equivalence/correction table", True)
+            return False, f"C_{n} mismatch"
+    return True, ""
+
 
 def check_closed_vs_extraction():
     bad = [n for n in range(1, 9) if chow.q_p2_closed(n) != chow.q_p2_extraction(n)]
-    return CheckResult(
-        "closed formula vs coefficient extraction (n=1..8)", not bad,
-        f"mismatches at {bad}" if bad else "",
-    )
+    return not bad, f"mismatches at {bad}" if bad else ""
 
 
 def check_table_rows():
     for i, row in REFERENCE_A_ROWS.items():
         got = a_form(i).signed()
         if got != row:
-            return CheckResult("coefficient table rows 1..8", False, f"row {i}: {got}")
-    return CheckResult("coefficient table rows 1..8", True)
+            return False, f"row {i}: {got}"
+    return True, ""
 
 
 def check_tilde_rows():
     bad = []
-    for i in range(1, 16):
+    for i in range(1, MAX_I + 1):
         for col, ok in enumerate(tilde_consistency(i)):
             if not ok and (i, col) not in TILDE_EXEMPT_CELLS:
                 bad.append((i, col))
-    return CheckResult(
-        "reduced rows consistent with signed rows", not bad,
-        f"cells {bad}" if bad else "one documented exempt cell (row 14, x)",
-    )
+    return not bad, f"cells {bad}" if bad else "one documented exempt cell (row 14, x)"
 
 
 def check_severi():
     if severi_degree_p2(3, 1) != 12 or severi_degree_p2(4, 2) != 225:
-        return CheckResult("plane Severi degrees", False)
+        return False, ""
     for d in range(1, 11):
         want = 3 * (d - 1) ** 2
         if severi_degree_p2(d, 1) != want:
-            return CheckResult("plane Severi degrees", False, f"degree {d}")
+            return False, f"degree {d}"
         if node_count_bruteforce(1, ChernNumbers.p2(d)) != want:
-            return CheckResult("plane Severi degrees", False, f"oracle, degree {d}")
-    return CheckResult("plane Severi degrees", True)
+            return False, f"oracle, degree {d}"
+    return True, ""
 
 
 def check_decompositions():
     for i in (2, 3, 4):
         rep = a_decomposition_check(i)
         if not rep.ok:
-            return CheckResult(
-                "row decompositions into equivalence + correction + Thom terms",
-                False, f"i={i}: {rep.left} != {rep.right}",
-            )
+            return False, f"i={i}: {rep.left} != {rep.right}"
     excess = chow.excess_a1a2()
     lhs = kazarian.s_alpha("A1*A2")
     rhs = (excess * Fraction(1, 2) + kazarian.s_alpha("A3")) * -3
     ok = excess == chow.LinearForm(60, 64, 14, 6) and lhs == rhs
-    return CheckResult(
-        "row decompositions into equivalence + correction + Thom terms", ok,
-        "" if ok else f"excess={excess}",
-    )
+    return ok, "" if ok else f"excess={excess}"
 
 
 def check_gyz_channels():
@@ -229,7 +219,7 @@ def check_gyz_channels():
     if not ok:
         nz = [(n, str(c)) for n, c in enumerate(x_res.coeffs) if c != 0]
         detail = f"x-channel nonzero at {nz} (known published-table defect)"
-    return CheckResult("generating-identity channel residuals (d, x)", ok, detail)
+    return ok, detail
 
 
 def check_b1_pipeline():
@@ -237,8 +227,7 @@ def check_b1_pipeline():
     a = recover_log_b1(TABLE_ORDER, forms)
     b = recover_log_b1_direct(TABLE_ORDER, forms)
     b1 = recover_b1(TABLE_ORDER, forms)
-    ok = a == b and b1[0] == 1
-    return CheckResult("unknown-series recovery, two code paths", ok)
+    return a == b and b1[0] == 1, ""
 
 
 def check_ratio_table():
@@ -246,16 +235,16 @@ def check_ratio_table():
     for n, cells in REFERENCE_RATIOS.items():
         got = tuple(rendered[n][c] for c in ("D", "E", "F", "G"))
         if got != cells:
-            return CheckResult("ratio table rendering", False, f"n={n}: {got}")
-    return CheckResult("ratio table rendering", True)
+            return False, f"n={n}: {got}"
+    return True, ""
 
 
 def check_integrality_grid():
     for d in range(1, 11):
         chern = ChernNumbers.p2(d)
-        for r in range(0, 16):
+        for r in range(0, MAX_I + 1):
             node_count(r, chern)  # raises ArithmeticError on any non-integer
-    return CheckResult("node counts integral on the degree/nodes grid", True)
+    return True, ""
 
 
 def check_node_count_routes():
@@ -267,27 +256,24 @@ def check_node_count_routes():
         for r in range(0, MAX_I + 1)
         if math.factorial(r) * node_count(r, chern) != complete_bell_by_signatures(r, values[chern])
     ]
-    # node_count runs Newton's identity; the line keeps its name because the
-    # benchmark's identities run digest hashes the text of `check`
-    return CheckResult(
-        "node counts: Bell recurrence equals the signature-sum oracle", not bad,
-        f"mismatches at {bad}" if bad else "",
-    )
+    return not bad, f"mismatches at {bad}" if bad else ""
 
 
+# The benchmark's identities run digest hashes the text of `check`, so a line
+# keeps its name when its check changes (node_count runs Newton's identity).
 ALL_CHECKS = (
-    check_equivalence_forms,
-    check_plane_equivalence_table,
-    check_closed_vs_extraction,
-    check_table_rows,
-    check_tilde_rows,
-    check_severi,
-    check_decompositions,
-    check_gyz_channels,
-    check_b1_pipeline,
-    check_ratio_table,
-    check_integrality_grid,
-    check_node_count_routes,
+    ("diagonal equivalence forms Q1, Q2", check_equivalence_forms),
+    ("plane equivalence/correction table", check_plane_equivalence_table),
+    ("closed formula vs coefficient extraction (n=1..8)", check_closed_vs_extraction),
+    ("coefficient table rows 1..8", check_table_rows),
+    ("reduced rows consistent with signed rows", check_tilde_rows),
+    ("plane Severi degrees", check_severi),
+    ("row decompositions into equivalence + correction + Thom terms", check_decompositions),
+    ("generating-identity channel residuals (d, x)", check_gyz_channels),
+    ("unknown-series recovery, two code paths", check_b1_pipeline),
+    ("ratio table rendering", check_ratio_table),
+    ("node counts integral on the degree/nodes grid", check_integrality_grid),
+    ("node counts: Bell recurrence equals the signature-sum oracle", check_node_count_routes),
 )
 
 
@@ -295,9 +281,9 @@ def run_all():
     results = []
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        for fn in ALL_CHECKS:
+        for name, fn in ALL_CHECKS:
             try:
-                results.append(fn())
+                results.append(CheckResult(name, *fn()))
             except Exception as exc:  # a crash is a failing check, not a crash of `check`
-                results.append(CheckResult(fn.__name__, False, f"raised {exc!r}"))
+                results.append(CheckResult(name, False, f"raised {exc!r}"))
     return results

@@ -18,7 +18,7 @@ from . import checks
 from .bell import MAX_R, complete_bell, eval_complete_bell, partial_bell
 from .chow import Q_MAX, c_correction_p2, q_general, q_p2_closed, q_p2_extraction
 from .exact import format_rational
-from .kazarian import MultisingularityType, count_multisingular, s_alpha
+from .kazarian import count_multisingular, parse_type, s_alpha, type_key
 from .partitions import format_partition, iter_partitions, mobius_coefficient
 from .qseries import (
     TABLE_ORDER,
@@ -154,6 +154,9 @@ def _cmd_zr(args):
 
 
 def _cmd_qn(args):
+    clash = [f"--{flag}" for flag in ("p2", "extraction", "oracle") if getattr(args, flag)]
+    if args.general and clash:
+        raise ValueError(f"--general cannot be combined with {', '.join(clash)}")
     _check_range("--n", args.n, 1, MAX_QN_N)
     for flag in ("general", "extraction", "oracle"):
         if getattr(args, flag):
@@ -232,18 +235,19 @@ def _cmd_partitions(args):
 
 
 def _cmd_kazarian(args):
-    alpha = MultisingularityType.parse(args.type)
+    alpha = parse_type(args.type)
+    key = type_key(alpha)
     if args.degree is None and args.chern is None:
-        _emit_form(args, {"command": "kazarian", "type": alpha.key()}, s_alpha(alpha))
+        _emit_form(args, {"command": "kazarian", "type": key}, s_alpha(alpha))
         return EXIT_OK
     chern = _surface(args)
     value = count_multisingular(alpha, chern)
     if value.denominator != 1:
         raise ConsistencyError(
-            f"multisingularity count is not integral for {alpha.key()}: {value}"
+            f"multisingularity count is not integral for {key}: {value}"
         )
-    payload = {"command": "kazarian", "type": alpha.key(), "count": str(value.numerator)}
-    _emit(args, [str(value.numerator)], payload, [["type", "count"], [alpha.key(), value.numerator]])
+    payload = {"command": "kazarian", "type": key, "count": str(value.numerator)}
+    _emit(args, [str(value.numerator)], payload, [["type", "count"], [key, value.numerator]])
     return EXIT_OK
 
 

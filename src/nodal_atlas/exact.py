@@ -79,8 +79,8 @@ def _product(a, b, off, mask):
 
 def _restore(cls, arity, terms):
     out = object.__new__(cls)
-    out.arity = arity
-    out.terms = MappingProxyType(terms)
+    object.__setattr__(out, "arity", arity)
+    object.__setattr__(out, "terms", MappingProxyType(terms))
     return out
 
 
@@ -89,7 +89,8 @@ class SparsePoly:
     Fraction coefficients.
 
     All exponent tuples share one arity; zero coefficients are never stored.
-    ``terms`` is a read-only view, so a cached polynomial is safely shared.
+    ``terms`` is a read-only view and no attribute can be reassigned or
+    deleted, so a cached polynomial is safely shared.
     A truncated ring is a subclass that declares ``caps``, pairs
     (weights, bound) that keep a monomial e only while weights.e <= bound
     for every pair.  The dropped monomials span an ideal, so dropping them
@@ -104,7 +105,7 @@ class SparsePoly:
     caps = ()
 
     def __init__(self, arity, terms=None):
-        self.arity = arity
+        object.__setattr__(self, "arity", arity)
         kept = {}
         caps = self.caps
         for expo, c in (terms or {}).items():
@@ -115,7 +116,13 @@ class SparsePoly:
                 c = Fraction(c)
             if c and (not caps or all(sum(map(mul, w, expo)) <= b for w, b in caps)):
                 kept[expo] = c
-        self.terms = MappingProxyType(kept)
+        object.__setattr__(self, "terms", MappingProxyType(kept))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is immutable")
 
     def _new(self, terms):
         """An element of the same ring from clean, kept terms."""

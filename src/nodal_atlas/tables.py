@@ -350,7 +350,7 @@ def a_decomposition_check(i):
     sign, factorial = (-1) ** (i - 1), math.factorial(i - 1)
     thom = chow.LinearForm()
     for alpha in kazarian.tabulated_types(i):
-        if alpha.labels != ("A1",) * i:
+        if alpha != ("A1",) * i:
             thom += kazarian.s_alpha(alpha) * Fraction(1, kazarian.aut_order(alpha))
     left = a_form(i).linear_form() * sign
     right = (chow.q_general(i) + chow.c_correction(i)) * factorial - thom * (sign * factorial * i)

@@ -232,6 +232,24 @@ def test_qn_n_is_bounded_before_any_work(capsys, monkeypatch):
         assert code == 0 and out
 
 
+def test_qn_refuses_general_with_a_plane_flag_before_any_work(capsys, monkeypatch):
+    def refuse(n):
+        raise AssertionError("computed Q_n for contradictory flags")
+
+    for name in ("q_p2_closed", "q_p2_extraction", "q_general"):
+        monkeypatch.setattr(cli, name, refuse)
+    for flags, named in (
+        (("--oracle",), "--oracle"),
+        (("--extraction",), "--extraction"),
+        (("--p2",), "--p2"),
+        (("--extraction", "--oracle"), "--extraction, --oracle"),
+    ):
+        for n in ("3", str(cli.MAX_QN_N + 1)):
+            code, out, err = run_cli(capsys, "qn", "--n", n, "--general", *flags)
+            assert (code, out) == (2, ""), flags
+            assert err == f"error: --general cannot be combined with {named}\n", flags
+
+
 def test_library_bounds_are_checked_by_flag_before_any_work(capsys, monkeypatch):
     from nodal_atlas.bell import MAX_R
     from nodal_atlas.chow import Q_MAX
@@ -362,6 +380,25 @@ def test_zr_text(capsys):
     assert out.strip() == "3*d + 2*k + x"
 
 
+def test_a_crashed_check_is_reported_under_its_own_name(capsys, monkeypatch):
+    from nodal_atlas import checks
+
+    def crash(*args):
+        raise RuntimeError("severi oracle down")
+
+    monkeypatch.setattr(checks, "severi_degree_p2", crash)
+    code, out, err = run_cli(capsys, "check", "--format", "json")
+    assert (code, err) == (3, "")
+    results = json.loads(out)["results"]
+    assert [r["name"] for r in results] == [name for name, _ in checks.ALL_CHECKS]
+    crashed = [r for r in results if r["detail"].startswith("raised")]
+    assert crashed == [{
+        "name": "plane Severi degrees",
+        "ok": False,
+        "detail": "raised RuntimeError('severi oracle down')",
+    }]
+
+
 def test_check_reports_known_defect(capsys):
     # every identity holds except the one channel residual at the top order,
     # which fails because of an inconsistency in the shipped coefficient table
@@ -413,12 +450,20 @@ def _corrupt_rows(rows, how):
         rows[0]["D"], rows[0]["a"][0] = 3.9, 3.2
     elif how == "bool-cell":  # int() would read row 1's index as 1
         rows[0]["i"] = True
+    # int() would read these as 1000, 7 and 3; a_tilde is not checked
+    elif how == "underscore-cell":
+        rows[0]["a_tilde"][0] = "1_000"
+    elif how == "spaced-cell":
+        rows[6]["i"] = " 7 "
+    elif how == "non-ascii-digit":
+        rows[2]["i"] = "\u0663"
     return rows
 
 
 @pytest.mark.parametrize("how, row", [
     ("gap", 7), ("short", 15), ("extra", 16), ("missing-key", 4), ("signed-row", 10),
     ("float-cell", 1), ("bool-cell", 1),
+    ("underscore-cell", 1), ("spaced-cell", 7), ("non-ascii-digit", 3),
 ])
 def test_bad_table_data_exits_2(tmp_path, monkeypatch, capsys, how, row):
     import shutil
@@ -455,11 +500,19 @@ def _corrupt_thom_rows(rows, how):
         rows[0]["d"] = 3.7
     elif how == "bool-cell":
         rows[0]["k"] = True
+    # int() would read these as 1000, 7 and 3
+    elif how == "underscore-cell":
+        rows[1]["d"] = "1_000"
+    elif how == "spaced-cell":
+        rows[2]["x"] = " 7 "
+    elif how == "non-ascii-digit":
+        rows[0]["d"] = "\u0663"
     return rows
 
 
 @pytest.mark.parametrize("how, row", [
     ("missing-d", 1), ("bad-label", 3), ("duplicate-type", 5), ("float-cell", 1), ("bool-cell", 1),
+    ("underscore-cell", 2), ("spaced-cell", 3), ("non-ascii-digit", 1),
 ])
 def test_bad_thom_data_exits_2(tmp_path, monkeypatch, capsys, how, row):
     import shutil

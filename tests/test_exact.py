@@ -187,6 +187,20 @@ def test_cached_values_refuse_in_place_changes():
     assert kazarian.count_multisingular("A1", tables.ChernNumbers.p2(4)) == 27
 
 
+def test_cached_values_refuse_reassignment():
+    for name, get in CACHED_VALUES.items():
+        value = get()
+        terms, arity = dict(value.terms), value.arity
+        with pytest.raises(AttributeError):
+            value.terms = {}
+        with pytest.raises(AttributeError):
+            value.arity = 0
+        with pytest.raises(AttributeError):
+            del value.terms
+        again = get()
+        assert (again.arity, dict(again.terms)) == (arity, terms), name
+
+
 @pytest.mark.parametrize("value", [
     SparsePoly(2, {(1, 0): 3, (0, 2): Fraction(-1, 2)}),
     PolyD([1, -2, Fraction(3, 4)]),

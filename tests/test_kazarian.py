@@ -5,11 +5,12 @@ import pytest
 
 from nodal_atlas.chow import LinearForm, c_correction, excess_a1a2, excess_a1a2_p2, q_general
 from nodal_atlas.kazarian import (
-    MultisingularityType,
     aut_order,
     count_multisingular,
+    parse_type,
     s_alpha,
     tabulated_types,
+    type_key,
 )
 from nodal_atlas.tables import ChernNumbers, a_form, node_count
 
@@ -20,34 +21,33 @@ TABLE_TYPES = [
 
 
 def test_parse_and_key():
-    alpha = MultisingularityType.parse("A2*A1^2")
-    assert alpha.labels == ("A1", "A1", "A2")
-    assert alpha.key() == "A1^2*A2"
-    assert alpha.codim == 4
-    assert len(alpha) == 3
+    alpha = parse_type("A2*A1^2")
+    assert alpha == ("A1", "A1", "A2")
+    assert type_key(alpha) == "A1^2*A2"
 
 
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
-        MultisingularityType.parse("A5")
+        parse_type("A5")
     with pytest.raises(ValueError):
-        MultisingularityType.parse("")
+        parse_type("")
     with pytest.raises(ValueError):
-        MultisingularityType.parse("A1^")
+        parse_type("A1^")
 
 
 def test_parse_bounds_the_exponent_before_expanding():
-    assert len(MultisingularityType.parse("A1^4")) == 4
+    assert len(parse_type("A1^4")) == 4
     for text in ("A1^5", "A1^13", "A2*A1^" + "9" * 40):
         with pytest.raises(ValueError, match="exceeds 4"):
-            MultisingularityType.parse(text)
+            parse_type(text)
 
 
 def test_aut_order():
-    assert aut_order(MultisingularityType.parse("A1*A2")) == 1
-    assert aut_order(MultisingularityType.parse("A1^2")) == 2
-    assert aut_order(MultisingularityType.parse("A1^4")) == 24
-    assert aut_order(MultisingularityType.parse("A1^2*A2^2")) == 4
+    assert aut_order(parse_type("A1*A2")) == 1
+    assert aut_order(parse_type("A1^2")) == 2
+    assert aut_order(parse_type("A1^4")) == 24
+    assert aut_order(parse_type("A1^2*A2^2")) == 4
+    assert aut_order("A1^2*A2^2") == 4
 
 
 def test_table_forms():
@@ -65,7 +65,7 @@ def test_missing_type():
 def test_single_node_stack_matches_enumerator_rows():
     # S with only nodes agrees with the enumerator's coefficient table
     for i in range(1, 5):
-        alpha = MultisingularityType(["A1"] * i)
+        alpha = ("A1",) * i
         assert s_alpha(alpha) == a_form(i).linear_form()
 
 
@@ -78,7 +78,7 @@ def test_pure_nodes_reproduce_node_counts():
     ]
     for chern in surfaces[:20]:
         for r in range(1, 5):
-            alpha = MultisingularityType(["A1"] * r)
+            alpha = ("A1",) * r
             assert count_multisingular(alpha, chern) == node_count(r, chern)
 
 
@@ -119,13 +119,15 @@ def test_partition_sum_vs_ordered_bruteforce():
 
     chern = ChernNumbers(7, -3, 2, 5)
     for text in TABLE_TYPES:
-        alpha = MultisingularityType.parse(text)
+        alpha = parse_type(text)
         r = len(alpha)
         by_length = {}
         for ordered in _ordered_partitions(r):
             prod = Fraction(1)
             for block in ordered:
-                prod *= s_alpha(alpha.sub_type(block)).evaluate(chern)
+                # the blocks come in any order, so sort each sub-type here
+                sub = tuple(sorted(alpha[i] for i in block))
+                prod *= s_alpha(sub).evaluate(chern)
             by_length[len(ordered)] = by_length.get(len(ordered), Fraction(0)) + prod
         total = sum(v / math.factorial(l) for l, v in by_length.items())
         assert count_multisingular(alpha, chern) == total / aut_order(alpha)
@@ -161,19 +163,56 @@ def test_low_rows_follow_from_the_coefficient_table_and_the_chow_layer():
 
 
 def test_tabulated_types_by_codimension():
-    by_codim = [[alpha.key() for alpha in tabulated_types(c)] for c in range(1, 6)]
+    by_codim = [[type_key(alpha) for alpha in tabulated_types(c)] for c in range(1, 6)]
     assert sum(by_codim, []) == TABLE_TYPES
     assert by_codim[3] == ["A4", "D4", "A1*A3", "A2^2", "A1^2*A2", "A1^4"]
     assert by_codim[4] == []
-    # the grouping is parsed once, and each call hands out its own objects
+
+
+def test_tabulated_types_returns_a_new_list_on_every_call():
+    # the grouping is parsed once, and each call hands out its own list
     first = tabulated_types(4)
     first.clear()
     types = tabulated_types(4)
-    assert [alpha.key() for alpha in types] == by_codim[3]
-    assert all(a is not b for a, b in zip(types, tabulated_types(4)))
+    assert [type_key(alpha) for alpha in types] == ["A4", "D4", "A1*A3", "A2^2", "A1^2*A2", "A1^4"]
+    assert types is not tabulated_types(4)
+    assert types == tabulated_types(4)
 
 
-def test_sub_type():
-    alpha = MultisingularityType.parse("A1^2*A2")
-    assert alpha.sub_type([0, 2]).key() == "A1*A2"
-    assert alpha.sub_type([1]).key() == "A1"
+def test_parse_type_inverts_type_key_on_every_tabulated_type():
+    types = [alpha for c in range(1, 5) for alpha in tabulated_types(c)]
+    assert len(types) == 12
+    for alpha in types:
+        assert alpha == tuple(sorted(alpha))
+        assert parse_type(type_key(alpha)) == alpha
+
+
+def test_an_unsorted_tuple_is_the_same_type_as_the_sorted_one():
+    chern = ChernNumbers(7, -3, 2, 5)
+    for text in ("A1^2*A2", "A1*A3", "A2^2", "A1^4"):
+        alpha = parse_type(text)
+        for perm in set(itertools.permutations(alpha)):
+            assert s_alpha(perm) == s_alpha(alpha)
+            assert count_multisingular(perm, chern) == count_multisingular(alpha, chern)
+            assert aut_order(perm) == aut_order(alpha)
+            assert count_multisingular(list(perm), chern) == count_multisingular(text, chern)
+
+
+def test_unknown_label_and_empty_type_raise_value_error():
+    chern = ChernNumbers.p2(4)
+    for fn in (s_alpha, aut_order, lambda alpha: count_multisingular(alpha, chern)):
+        with pytest.raises(ValueError, match="unknown singularity label 'A9'"):
+            fn(("A1", "A9"))
+        with pytest.raises(ValueError, match="at least one label"):
+            fn(())
+        with pytest.raises(ValueError, match="at least one label"):
+            fn([])
+
+
+def test_type_outside_the_table_keeps_its_key_error_text():
+    for alpha in ("A1*A4", ("A4", "A1"), ["A1"] * 5):
+        with pytest.raises(KeyError, match="is not in the table"):
+            s_alpha(alpha)
+    with pytest.raises(KeyError) as info:
+        count_multisingular(("A4", "A1"), ChernNumbers.p2(4))
+    assert info.value.args == ("multisingularity type A1*A4 is not in the table (codimension 5)",)

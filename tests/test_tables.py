@@ -305,7 +305,7 @@ def test_route_check_runs_the_production_count_on_every_call(monkeypatch):
     real = checks.node_count
     monkeypatch.setattr(checks, "node_count", lambda r, chern: calls.append(r) or real(r, chern))
     for _ in range(2):
-        assert checks.check_node_count_routes().ok
+        assert checks.check_node_count_routes() == (True, "")
     assert len(calls) == 2 * (10 + len(checks.ORACLE_SURFACES)) * (MAX_I + 1)
 
 
@@ -313,7 +313,7 @@ def test_route_check_evaluates_each_row_once_per_surface(monkeypatch):
     rows = []
     real = checks.a_form
     monkeypatch.setattr(checks, "a_form", lambda i: rows.append(i) or real(i))
-    assert checks.check_node_count_routes().ok
+    assert checks.check_node_count_routes() == (True, "")
     surfaces = 10 + len(checks.ORACLE_SURFACES)
     assert sorted(rows) == sorted(list(range(1, MAX_I + 1)) * surfaces)
 
