@@ -51,7 +51,6 @@ def complete_bell(r):
     return _signature_poly(r)
 
 
-@lru_cache(maxsize=None)
 def partial_bell(n, l):
     """Partial Bell polynomial: the part of complete_bell(n) with l blocks,
     sliced from the cached complete polynomial."""

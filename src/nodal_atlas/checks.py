@@ -3,8 +3,8 @@
 Every check is an exact identity between two independently computed
 quantities, or a comparison against a frozen reference table.  A failing
 check means either corrupted data assets or a real inconsistency in the
-published coefficient table (one such inconsistency is known, see
-KNOWN_X_CHANNEL_DEFECT).
+published coefficient table.  One is known: the x channel of the generating
+identity leaves 992/3 at q^15, a shift of -4960 in the reduced row-15 x-cell.
 """
 
 from __future__ import annotations
@@ -81,12 +81,6 @@ REFERENCE_RATIOS = {
     14: ("19.46", "20.06", "20.72", "21.24"),
 }
 
-# The x-channel of the log generating identity fails at exactly q^15 with
-# the published row-15 x-coefficient; the residual coefficient is 992/3,
-# equivalent to a shift of -4960 in the reduced x-cell.  All other orders
-# and the full d-channel vanish identically.
-KNOWN_X_CHANNEL_DEFECT = {"order": 15, "residual": Fraction(992, 3)}
-
 
 @lru_cache(maxsize=None)
 def _signature_terms(r):
@@ -105,14 +99,14 @@ def complete_bell_by_signatures(r, values):
     """Oracle for bell.eval_complete_bell: the p(r)-term sum over block-size
     signatures of count * prod x_i^{j_i}.  Integers stay integers; any other
     input is evaluated in Fractions.  The sum is memoised on the values
-    themselves, so no reload of the table data can make it stale; `check`
-    asks for the same values on every call."""
+    themselves, so no reload of the table data can make it stale; the memo
+    holds 256 sums, and one `check` asks for 211, so a second finds them all."""
     xs = tuple(values[:r])
     ints = all(isinstance(v, int) for v in xs)
     return _signature_sum(r, xs if ints else tuple(map(Fraction, xs)), ints)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def _signature_sum(r, xs, ints):
     """The signature sum at xs; `ints` keeps an integer sum apart from the
     equal Fraction sum of integral Fractions.  Each x_i^j comes from a

@@ -14,7 +14,7 @@ import sys
 from functools import lru_cache
 from itertools import chain, repeat
 
-from . import checks
+from . import assets, checks
 from .bell import MAX_R, complete_bell, eval_complete_bell, partial_bell
 from .chow import Q_MAX, c_correction_p2, q_general, q_p2_closed, q_p2_extraction
 from .exact import format_rational
@@ -68,10 +68,10 @@ def _check_range(flag, value, lo, hi):
 
 
 def _parse_chern(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError(f"--chern wants four comma-separated integers, got {text!r}")
-    d, k, s, x = (int(p) for p in parts)
+    try:
+        d, k, s, x = map(assets.integer, text.split(","))
+    except ValueError:
+        raise ValueError(f"--chern wants four comma-separated integers, got {text!r}") from None
     if (d + k) % 2:
         raise ValueError(f"--chern {text}: adjunction needs L^2 + L.K = d + k even, got {d + k}")
     if (s + x) % 12:
@@ -347,8 +347,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("count", parents=[common], help="number of r-nodal curves")
-    p.add_argument("--nodes", "-r", type=int, required=True)
-    p.add_argument("--degree", "-d", type=int, help="plane curves of this degree")
+    p.add_argument("--nodes", "-r", type=assets.integer, required=True)
+    p.add_argument("--degree", "-d", type=assets.integer, help="plane curves of this degree")
     p.add_argument("--chern", help="surface as d,k,s,x")
     p.add_argument("--oracle", action="store_true",
                    help="cross-check against the signature-sum oracle and, for "
@@ -357,11 +357,11 @@ def build_parser():
 
     p = sub.add_parser("zr", parents=[common],
                        help="universal node polynomial in (d, k, s, x)")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=assets.integer, required=True)
     p.set_defaults(run=_cmd_zr)
 
     p = sub.add_parser("qn", parents=[common], help="diagonal equivalence terms")
-    p.add_argument("--n", type=int, required=True,
+    p.add_argument("--n", type=assets.integer, required=True,
                    help=f"1..{MAX_QN_N} (--general, --extraction and --oracle stop at {Q_MAX})")
     p.add_argument("--general", action="store_true",
                    help="general surface (linear form) instead of the plane")
@@ -373,17 +373,18 @@ def build_parser():
     p.set_defaults(run=_cmd_qn)
 
     p = sub.add_parser("cn", parents=[common], help="correction terms for the plane")
-    p.add_argument("--n", type=int, required=True)
+    p.add_argument("--n", type=assets.integer, required=True)
     p.set_defaults(run=_cmd_cn)
 
     p = sub.add_parser("bell", parents=[common], help="Bell polynomials")
     p.add_argument("kind", choices=("complete", "partial"))
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--blocks", "-l", type=int, help="block count for partial")
+    p.add_argument("--n", type=assets.integer, required=True)
+    p.add_argument("--blocks", "-l", type=assets.integer, help="block count for partial")
     p.set_defaults(run=_cmd_bell)
 
     p = sub.add_parser("partitions", parents=[common], help="set partitions of {1..r}")
-    p.add_argument("--r", type=int, required=True, help=f"ground set size, 1..{MAX_PARTITIONS_R}")
+    p.add_argument("--r", type=assets.integer, required=True,
+                   help=f"ground set size, 1..{MAX_PARTITIONS_R}")
     p.add_argument("--mobius", action="store_true",
                    help="annotate each partition with its Moebius coefficient")
     p.set_defaults(run=_cmd_partitions)
@@ -391,7 +392,8 @@ def build_parser():
     p = sub.add_parser("kazarian", parents=[common],
                        help="multisingularity forms and counts")
     p.add_argument("--type", required=True, help="e.g. A1^2*A2")
-    p.add_argument("--degree", "-d", type=int, help="count on plane curves of this degree")
+    p.add_argument("--degree", "-d", type=assets.integer,
+                   help="count on plane curves of this degree")
     p.add_argument("--chern", help="count on the surface d,k,s,x")
     p.set_defaults(run=_cmd_kazarian)
 
@@ -402,7 +404,7 @@ def build_parser():
     which.add_argument("--gyz-check", dest="gyz_check", action="store_true",
                        help="residual of one channel of the log generating identity")
     p.add_argument("--channel", choices=("d", "k", "s", "x"))
-    p.add_argument("--order", type=int, default=TABLE_ORDER,
+    p.add_argument("--order", type=assets.integer, default=TABLE_ORDER,
                    help=f"truncation order, 0..{MAX_SERIES_ORDER} (--b1, --b2 and "
                    f"--gyz-check stop at {TABLE_ORDER})")
     p.set_defaults(run=_cmd_series, which="g2", gyz_check=False)

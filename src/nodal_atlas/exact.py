@@ -11,7 +11,7 @@ one mask.  Results are unpacked to tuple keys once, at the end.
 
 Integers are plain Python ints (arbitrary precision), rationals are
 ``fractions.Fraction`` (always reduced, positive denominator).  Nothing
-in this package ever touches floating point.
+in this package touches floating point: a float coefficient is refused.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ class SparsePoly:
             if len(expo) != arity:
                 raise ValueError(f"exponent {expo} has wrong arity (want {arity})")
             if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
+                c = _as_fraction(c)
             if c and (not caps or all(sum(map(mul, w, expo)) <= b for w, b in caps)):
                 kept[expo] = c
         object.__setattr__(self, "terms", MappingProxyType(kept))
@@ -203,18 +203,17 @@ class SparsePoly:
     __rmul__ = __mul__
 
     def __pow__(self, e):
-        """Square-and-multiply, packed once for the e-th power's exponents."""
+        """Square-and-multiply, every product through __mul__."""
         if e < 0:
             raise ValueError("negative power")
-        units, shifts, masks, off, mask = _layout([e * t for t in self._tops()], self.caps)
-        result, base = {0: 1}, self._pack(units)
+        result, base = self._coerce(1), self
         while e:
             if e & 1:
-                result = _product(result, base, off, mask)
+                result = result * base
             e >>= 1
             if e:
-                base = _product(base, base, off, mask)
-        return self._unpack(result, shifts, masks)
+                base = base * base
+        return result
 
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), 0)

@@ -12,9 +12,6 @@ import math
 # Largest ground set enumerated: B_12 = 4,213,597 partitions.
 MAX_R = 12
 
-# (-1)^(i-1) (i-1)! for block sizes i = 1..MAX_R, at index i - 1
-_BLOCK_MOBIUS = tuple((-1) ** i * math.factorial(i) for i in range(MAX_R))
-
 
 class SetPartition:
     """A partition of the ground set {1,...,r} into disjoint nonempty blocks."""
@@ -30,11 +27,7 @@ class SetPartition:
             raise ValueError(f"blocks {canon} do not partition {{1,...,{n}}}")
         self.blocks = tuple(canon)
         self.r = n
-        mobius = 1
-        for b in canon:
-            i = len(b)
-            mobius *= _BLOCK_MOBIUS[i - 1] if i <= MAX_R else (-1) ** (i - 1) * math.factorial(i - 1)
-        self.mobius = mobius
+        self.mobius = math.prod((-1) ** (len(b) - 1) * math.factorial(len(b) - 1) for b in canon)
 
     def __eq__(self, other):
         return (

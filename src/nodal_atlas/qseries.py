@@ -45,7 +45,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bell import complete_bell_sequence
-from .exact import format_rational
+from .exact import _as_fraction, format_rational
 
 DEFAULT_ORDER = 16
 TABLE_ORDER = 15  # the coefficient table supplies rows 1..15
@@ -61,7 +61,7 @@ class PowerSeries:
     __slots__ = ("coeffs", "order")
 
     def __init__(self, coeffs, order=None):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
+        cs = list(map(_as_fraction, coeffs))
         if order is None:
             order = len(cs) - 1
         if order < 0:

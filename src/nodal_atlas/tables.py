@@ -186,11 +186,6 @@ def node_count_bruteforce(r, chern):
 # exponent of Y_n exceeds n <= MAX_I, which must stay below 256.
 _UNITS = (1, 1 << 8, 1 << 16, 1 << 24)
 
-# Channels (0, 1, 2, 3) = (d, k, s, x) join Y_n in this order.  Every order
-# does 32-34 thousand updates and times within a few percent; joining s
-# early keeps its table, half as dense since F_1 = 0, out of the largest stage.
-_MERGE_ORDER = (3, 2, 1, 0)
-
 
 def _unpack(key):
     return tuple(key.to_bytes(4, "little"))
@@ -224,8 +219,7 @@ def _bell_ys():
     """
     forms = [_rows()[i]["form"] for i in range(1, MAX_I + 1)]
     ys = [{0: 1}] + [{}] * MAX_I
-    for channel in _MERGE_ORDER:
-        unit = _UNITS[channel]
+    for channel, unit in enumerate(_UNITS):
         weights = [f.signed()[channel] for f in forms]
         powers = [[(e * unit, c) for e, c in enumerate(p) if c] for p in _channel_table(weights)]
         merged = []

@@ -84,6 +84,32 @@ def test_off_lattice_chern_numbers_are_rejected_before_any_work(capsys, monkeypa
         assert law in err, argv
 
 
+def test_integer_arguments_follow_the_asset_cell_rule(capsys, monkeypatch):
+    # ASCII digits after an optional minus sign, as in the data assets: int()
+    # would read each of these, so they are refused before anything is counted
+    def refuse(*args):
+        raise AssertionError("counted on a refused integer")
+
+    monkeypatch.setattr(cli, "node_count", refuse)
+    chern_message = "error: --chern wants four comma-separated integers, got "
+    for argv, flag in (
+        (("count", "--chern", "1_6,-12,9,3", "--nodes", "1"), chern_message),
+        (("count", "--chern", "\u0661\u0666,-12,9,3", "--nodes", "1"), chern_message),
+        (("count", "--chern", "1,x,3,4", "--nodes", "1"), chern_message),
+        (("count", "--chern", "16, -12,9,3", "--nodes", "1"), chern_message),
+        (("count", "--degree", "4", "--nodes", "\u0662"), "argument --nodes/-r: invalid"),
+        (("count", "--degree", "+4", "--nodes", "2"), "argument --degree/-d: invalid"),
+        (("zr", "--r", "1_0"), "argument --r: invalid"),
+    ):
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, ""), argv
+        assert flag in err, argv
+
+
 def test_qn_plane(capsys):
     code, out, _ = run_cli(capsys, "qn", "--p2", "--n", "3")
     assert code == 0

@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import pytest
 
-from nodal_atlas import bell, chow, kazarian, tables
+from nodal_atlas import bell, chow, kazarian, qseries, tables
 from nodal_atlas.chow import H, H_CAP, GradedClass, LinearForm, P2Class
 from nodal_atlas.exact import PolyD, SparsePoly, binomial, format_rational
 
@@ -161,10 +161,34 @@ def test_negative_exponent_raises_when_packed():
             op()
 
 
+def test_powers_multiply_through_mul(monkeypatch):
+    # one product path: a power is square-and-multiply over __mul__
+    calls = []
+    real = SparsePoly.__mul__
+    monkeypatch.setattr(SparsePoly, "__mul__", lambda a, b: calls.append(b) or real(a, b))
+    assert PolyD([1, 1]) ** 5 == PolyD([1, 5, 10, 10, 5, 1])
+    assert calls
+    calls.clear()
+    assert (1 + H) ** 3 == GradedClass({(0, 0, 0, k): math.comb(3, k) for k in range(4)})
+    assert calls
+
+
+@pytest.mark.parametrize("make", [
+    lambda: SparsePoly(1, {(1,): 0.1}),
+    lambda: PolyD([1, 0.5]),
+    lambda: LinearForm(0.1, 0, 0, 1),
+    lambda: GradedClass({(0, 0, 0, 1): 0.5}),
+    lambda: qseries.PowerSeries([0.1, 2]),
+], ids=["SparsePoly", "PolyD", "LinearForm", "GradedClass", "PowerSeries"])
+def test_float_coefficients_are_refused(make):
+    # Fraction(0.1) would keep the binary fraction 3602879701896397/2^55
+    with pytest.raises(TypeError):
+        make()
+
+
 # Every polynomial a cache hands out, shared by all its callers.
 CACHED_VALUES = {
     "complete_bell": lambda: bell.complete_bell(4),
-    "partial_bell": lambda: bell.partial_bell(6, 3),
     "class_table": lambda: chow._class_table()[1],
     "m_poly_p2": lambda: chow.m_poly_p2(3),
     "c_correction_p2": lambda: chow.c_correction_p2(3),

@@ -3,8 +3,9 @@
 A public top-level function or class in ``src/nodal_atlas``, and a private
 top-level function, must be used by name somewhere else in the package or in
 the benchmark; a test is not enough (oracles live in ``checks.py`` and
-``tests/``).  No module may import a name it never uses.  The checks parse
-the source with ``ast``.
+``tests/``).  No module may import a name it never uses.  Kernel products
+run through one method, and the CLI reads integers by one rule.  The checks
+parse the source with ``ast``.
 """
 
 import ast
@@ -110,3 +111,23 @@ def test_one_multiplication_kernel():
                 keep.append(f"{path.name}:{node.name}")
     assert owners <= {"SparsePoly"}, f"classes with their own products: {owners}"
     assert not keep, f"classes that define keep: {keep}"
+
+
+def test_one_product_path():
+    # a power is square-and-multiply over __mul__, so every kernel product,
+    # and every count of them, passes through one method
+    callers = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "_product" for n in ast.walk(node))
+    ]
+    assert callers == ["exact.py:__mul__"], callers
+
+
+def test_cli_integers_follow_the_asset_cell_rule():
+    # int() reads '1_000', '+3', ' 7 ' and non-ASCII digits; assets.integer
+    # refuses them, for every flag and every --chern cell alike
+    statements = _scan(PACKAGE / "cli.py")[0]
+    assert "int" not in set().union(*(names for _, names in statements))

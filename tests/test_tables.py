@@ -300,6 +300,25 @@ def test_signature_oracle_memo_keys_on_the_values(monkeypatch):
     assert type(complete_bell_by_signatures(3, [Fraction(v) for v in ints])) is Fraction
 
 
+def test_signature_oracle_memo_is_bounded():
+    memo = checks._signature_sum
+    memo.cache_clear()
+    surfaces = 600
+    for d in range(1, surfaces + 1):
+        node_count_by_signatures(3, ChernNumbers.p2(d))
+    assert memo.cache_info().currsize < surfaces
+
+
+def test_a_second_check_finds_every_signature_sum():
+    # the identities benchmark runs `check` twice in one process
+    memo = checks._signature_sum
+    memo.cache_clear()
+    checks.run_all()
+    misses = memo.cache_info().misses
+    checks.run_all()
+    assert memo.cache_info().misses == misses
+
+
 def test_route_check_runs_the_production_count_on_every_call(monkeypatch):
     calls = []
     real = checks.node_count
