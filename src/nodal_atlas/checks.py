@@ -18,7 +18,7 @@ from itertools import accumulate
 from operator import mul
 
 from . import chow, kazarian
-from .exact import PolyD
+from .exact import PolyD, _as_fraction
 from .partitions import integer_partition_signatures, signature_count
 from .qseries import TABLE_ORDER, gyz_channel_residual, recover_b1, recover_log_b1, recover_log_b1_direct
 from .tables import (
@@ -103,7 +103,7 @@ def complete_bell_by_signatures(r, values):
     holds 256 sums, and one `check` asks for 211, so a second finds them all."""
     xs = tuple(values[:r])
     ints = all(isinstance(v, int) for v in xs)
-    return _signature_sum(r, xs if ints else tuple(map(Fraction, xs)), ints)
+    return _signature_sum(r, xs if ints else tuple(map(_as_fraction, xs)), ints)
 
 
 @lru_cache(maxsize=256)

@@ -206,14 +206,14 @@ class SparsePoly:
         """Square-and-multiply, every product through __mul__."""
         if e < 0:
             raise ValueError("negative power")
-        result, base = self._coerce(1), self
+        result, base = None, self
         while e:
             if e & 1:
-                result = result * base
+                result = base if result is None else result * base
             e >>= 1
             if e:
                 base = base * base
-        return result
+        return self._coerce(1) if result is None else result
 
     def coefficient(self, expo):
         return self.terms.get(tuple(expo), 0)

@@ -7,7 +7,7 @@ from types import MappingProxyType
 
 import pytest
 
-from nodal_atlas import bell, chow, kazarian, qseries, tables
+from nodal_atlas import bell, checks, chow, kazarian, qseries, tables
 from nodal_atlas.chow import H, H_CAP, GradedClass, LinearForm, P2Class
 from nodal_atlas.exact import PolyD, SparsePoly, binomial, format_rational
 
@@ -179,16 +179,19 @@ def test_powers_multiply_through_mul(monkeypatch):
     lambda: LinearForm(0.1, 0, 0, 1),
     lambda: GradedClass({(0, 0, 0, 1): 0.5}),
     lambda: qseries.PowerSeries([0.1, 2]),
-], ids=["SparsePoly", "PolyD", "LinearForm", "GradedClass", "PowerSeries"])
+    lambda: checks.complete_bell_by_signatures(2, [0.1, 0]),
+], ids=["SparsePoly", "PolyD", "LinearForm", "GradedClass", "PowerSeries", "signature_oracle"])
 def test_float_coefficients_are_refused(make):
     # Fraction(0.1) would keep the binary fraction 3602879701896397/2^55
     with pytest.raises(TypeError):
         make()
 
 
-# Every polynomial a cache hands out, shared by all its callers.
+# Every polynomial a cache hands out, or slices from a cached value, shared
+# by all its callers.
 CACHED_VALUES = {
     "complete_bell": lambda: bell.complete_bell(4),
+    "partial_bell": lambda: bell.partial_bell(6, 3),
     "class_table": lambda: chow._class_table()[1],
     "m_poly_p2": lambda: chow.m_poly_p2(3),
     "c_correction_p2": lambda: chow.c_correction_p2(3),

@@ -129,5 +129,13 @@ def test_one_product_path():
 def test_cli_integers_follow_the_asset_cell_rule():
     # int() reads '1_000', '+3', ' 7 ' and non-ASCII digits; assets.integer
     # refuses them, for every flag and every --chern cell alike
-    statements = _scan(PACKAGE / "cli.py")[0]
-    assert "int" not in set().union(*(names for _, names in statements))
+    def is_int(node):
+        return isinstance(node, ast.Name) and node.id == "int"
+
+    readers = [
+        node.lineno
+        for node in ast.walk(ast.parse((PACKAGE / "cli.py").read_text()))
+        if isinstance(node, ast.keyword) and node.arg == "type" and is_int(node.value)
+        or isinstance(node, ast.Call) and is_int(node.func)
+    ]
+    assert not readers, f"cli.py lines reading integers with int: {readers}"
