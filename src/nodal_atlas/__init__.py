@@ -41,7 +41,6 @@ from .partitions import (
 )
 from .qseries import (
     PowerSeries,
-    d_operator,
     discriminant,
     eisenstein_g2,
     gyz_channel_residual,

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from functools import lru_cache
 from itertools import chain, repeat
@@ -94,13 +95,24 @@ def _surface(args):
     raise ValueError("a surface is required: --degree D for the plane, or --chern d,k,s,x")
 
 
+def _stdout_to_devnull():
+    """Drop the output a closed stdout refused; the exit flush stays silent."""
+    with open(os.devnull, "w") as null:
+        os.dup2(null.fileno(), sys.stdout.fileno())
+
+
 def _emit(args, text_lines, payload, csv_rows=None):
-    if args.format == "text":
-        sys.stdout.writelines(f"{line}\n" for line in text_lines)
-    elif args.format == "json":
-        print(json.dumps(payload, indent=2))
-    else:
-        csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows or [])
+    """The one writer of command output; a closed stdout costs no exit code."""
+    try:
+        if args.format == "text":
+            sys.stdout.writelines(f"{line}\n" for line in text_lines)
+        elif args.format == "json":
+            print(json.dumps(payload, indent=2))
+        else:
+            csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows or [])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        _stdout_to_devnull()
 
 
 def _emit_form(args, payload, form):
@@ -228,6 +240,7 @@ def _cmd_partitions(args):
             record % (sep, json.dumps(format_partition(pi)), len(pi), mobius_coefficient(pi))
             for sep, pi in zip(chain([""], repeat(",")), parts))
         sys.stdout.write("\n  ]\n}\n")
+        sys.stdout.flush()  # a closed stdout raises here, for main to catch
     else:
         rows = ([format_partition(pi), len(pi), mobius_coefficient(pi)] for pi in parts)
         _emit(args, [], None, chain([["partition", "blocks", "mobius"]], rows))
@@ -424,7 +437,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.run(args)
-    except BrokenPipeError:
+    except BrokenPipeError:  # the streamed `partitions --format json` output
+        _stdout_to_devnull()
         return EXIT_OK
     except (ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its argument, quotes included

@@ -23,19 +23,19 @@ Chern number gives one scalar series identity per channel:
 
 The d and x channels involve only known quasi-modular data, so their
 residuals vanishing is a genuine consistency check of the coefficient
-table.  The k channel defines log B_2, so its residual vanishes by
-construction.  The s channel defines log B_1 through the combination
-F_l - G_l, so its residual equals the x-channel residual identically and
-vanishes exactly when that one does.
+table.  The k channel defines log B_2, so its residual is zero by
+construction and is returned as the zero series.  The s channel defines
+log B_1 through the combination F_l - G_l, and the channel sum is linear,
+so its residual is the x-channel residual, and is computed as that one.
 
 Delta, D G_2 and its powers have integer coefficients, so they are built as
-integer tuples: Delta by Jacobi's identity, and the powers of D G_2 and the
-two logarithms (times lcm(1..T)) once per truncation order T.  The channel
-series, that is the residuals, log B_1 and log B_2, are sums of integer
-numerators over 24 lcm(1..T), with one Fraction per output coefficient.
-The second route to log B_1 shares none of those caches: it is Horner's
-rule in t, on integer numerators over lcm(1..T).  Results are PowerSeries
-built fresh on every call, so no caller can alter a cached value.
+integer tuples: Delta by Jacobi's identity, D G_2 by one uncached helper,
+its powers and the two logarithms (times lcm(1..T)) once per order T.  The
+channel series, that is the residuals, log B_1 and log B_2, are sums of
+integer numerators over 24 lcm(1..T), with one Fraction per output
+coefficient.  The second route to log B_1 shares none of those caches: it
+is Horner's rule in t, on integer numerators over lcm(1..T).  Results are
+PowerSeries built fresh on every call, so no caller can alter a cached value.
 """
 
 from __future__ import annotations
@@ -47,7 +47,6 @@ from functools import lru_cache
 from .bell import complete_bell_sequence
 from .exact import _as_fraction, format_rational
 
-DEFAULT_ORDER = 16
 TABLE_ORDER = 15  # the coefficient table supplies rows 1..15
 
 CHANNELS = ("d", "k", "s", "x")
@@ -144,7 +143,7 @@ def _sigma(n):
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
-def eisenstein_g2(order=DEFAULT_ORDER):
+def eisenstein_g2(order):
     """-1/24 + sum sigma(n) q^n."""
     return PowerSeries(
         [Fraction(-1, 24)] + [_sigma(n) for n in range(1, order + 1)], order
@@ -167,27 +166,23 @@ def _delta_over_q(order):
     return p
 
 
-def discriminant(order=DEFAULT_ORDER):
+def discriminant(order):
     """Delta = q * prod_{m>0} (1 - q^m)^24, truncated."""
     if order < 0:
         raise ValueError("discriminant needs order >= 0")
     return PowerSeries((0,) + _delta_over_q(order - 1), order)
 
 
-def d_operator(s):
-    """q d/dq: multiplies the n-th coefficient by n."""
-    return PowerSeries([n * c for n, c in enumerate(s.coeffs)], s.order)
-
-
-def dg2(order=DEFAULT_ORDER):
-    return d_operator(eisenstein_g2(order))
+def _dg2(order):
+    """t = D G_2 = sum n sigma(n) q^n through q^order, as integers."""
+    return (0,) + tuple(n * _sigma(n) for n in range(1, order + 1))
 
 
 @lru_cache(maxsize=TABLE_ORDER + 1)
 def _dg2_powers(order):
-    """(t, t^2, ..., t^order) for t = D G_2 = sum n sigma(n) q^n, each an
-    immutable tuple of integer coefficients through q^order."""
-    t = (0,) + tuple(n * _sigma(n) for n in range(1, order + 1))
+    """(t, t^2, ..., t^order) for t = D G_2, each an immutable tuple of
+    integer coefficients through q^order."""
+    t = _dg2(order)
     powers = [t]
     for _ in range(1, order):
         powers.append(_mul(powers[-1], t, order))
@@ -200,8 +195,8 @@ def _log_numerators(order):
     log(Delta D^2 G_2/q^2) through q^order, as two integer tuples: the inputs
     are integral, so each L_n = m_n / n of series_log divides by n only."""
     den = math.lcm(*range(1, order + 1))
-    dg2_over_q = [(n + 1) * _sigma(n + 1) for n in range(order + 1)]
-    d2g2_over_q = [(n + 1) ** 2 * _sigma(n + 1) for n in range(order + 1)]
+    dg2_over_q = _dg2(order + 1)[1:]
+    d2g2_over_q = [(n + 1) * c for n, c in enumerate(dg2_over_q)]
     disc_d2g2_over_q2 = _mul(_delta_over_q(order), d2g2_over_q, order)
     return tuple(
         tuple(int(den * c) for c in series_log(u).coeffs)
@@ -239,20 +234,11 @@ def _series(order, numerators):
     return PowerSeries([Fraction(a, den) for a in numerators], order)
 
 
-def _log_b1(order, forms):
-    return _channel_sum(order, [f.F - f.G for f in forms])
-
-
-def _log_b2(order, forms):
-    log_dg2 = _log_numerators(order)[0]
-    return [a + 12 * b for a, b in zip(_channel_sum(order, [f.E for f in forms]), log_dg2)]
-
-
 def recover_log_b1(order, forms):
     """log B_1 through q^order: c_n = sum_r y_r(n) (-1)^{r-1} (F_r - G_r)/r,
     with y_r(n) the q^n coefficient of (D G_2)^r."""
     _check_table(order, forms)
-    return _series(order, _log_b1(order, forms))
+    return _series(order, _channel_sum(order, [f.F - f.G for f in forms]))
 
 
 def recover_log_b1_direct(order, forms):
@@ -260,7 +246,7 @@ def recover_log_b1_direct(order, forms):
     lcm(1..order) (-1)^{l-1} (F_l - G_l) / l of its t^l coefficients; an
     independent code path that reads none of recover_log_b1's caches."""
     _check_table(order, forms)
-    t = [c.numerator for c in dg2(order).coeffs]
+    t = _dg2(order)
     den = math.lcm(*range(1, order + 1))
     acc = (0,) * (order + 1)
     for l in range(order, 0, -1):
@@ -277,7 +263,8 @@ def recover_b1(order, forms):
 def recover_log_b2(order, forms):
     """log B_2 through q^order: 1/2 log(D G_2/q) plus the k-channel sum."""
     _check_table(order, forms)
-    return _series(order, _log_b2(order, forms))
+    k_sum = _channel_sum(order, [f.E for f in forms])
+    return _series(order, [a + 12 * b for a, b in zip(k_sum, _log_numerators(order)[0])])
 
 
 def recover_b2(order, forms):
@@ -285,26 +272,18 @@ def recover_b2(order, forms):
 
 
 def gyz_channel_residual(channel, order, forms):
-    """Residual of one Chern-number channel of the log generating identity.
-
-    The d and x channels must vanish identically if the coefficient table is
-    consistent with the quasi-modular data; the k channel vanishes by
-    construction (it defines log B_2), and the s channel cancels down to the
-    x-channel residual because log B_1 is built from F_l - G_l.  The terms
-    are summed as integer numerators over _denominator(order).
-    """
+    """Residual of one Chern-number channel of the log generating identity,
+    summed as integer numerators over _denominator(order).  The d and x
+    channels check the table against the quasi-modular data; k is zero and
+    s is the x residual by construction (see the module docstring)."""
     _check_table(order, forms)
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
+    if channel == "k":
+        return _series(order, [0] * (order + 1))
     log_dg2, log_disc = _log_numerators(order)
     if channel == "d":
-        terms = (_channel_sum(order, [f.D for f in forms]), [-12 * a for a in log_dg2])
-    elif channel == "k":
-        terms = (_channel_sum(order, [f.E for f in forms]), [12 * a for a in log_dg2],
-                 [-a for a in _log_b2(order, forms)])
-    else:
-        column = [f.G if channel == "x" else f.F for f in forms]
-        terms = (_channel_sum(order, column), [b - 2 * a for a, b in zip(log_dg2, log_disc)])
-        if channel == "s":
-            terms += ([-a for a in _log_b1(order, forms)],)
-    return _series(order, map(sum, zip(*terms)))
+        d_sum = _channel_sum(order, [f.D for f in forms])
+        return _series(order, [c - 12 * a for c, a in zip(d_sum, log_dg2)])
+    x_sum = _channel_sum(order, [f.G for f in forms])
+    return _series(order, [c + b - 2 * a for c, a, b in zip(x_sum, log_dg2, log_disc)])

@@ -21,9 +21,15 @@ MAX_I = 15
 
 class ChernNumbers(namedtuple("ChernNumbers", "d k s x")):
     """The four intersection numbers of a polarized surface:
-    d = L^2, k = L.K, s = K^2, x = c_2(S)."""
+    d = L^2, k = L.K, s = K^2, x = c_2(S), each an int (TypeError if not)."""
 
     __slots__ = ()
+
+    def __new__(cls, d, k, s, x):
+        if not type(d) is type(k) is type(s) is type(x) is int:
+            name, value = next(p for p in zip(cls._fields, (d, k, s, x)) if type(p[1]) is not int)
+            raise TypeError(f"ChernNumbers.{name} must be an int, got {value!r}")
+        return tuple.__new__(cls, (d, k, s, x))
 
     @classmethod
     def p2(cls, degree):
@@ -63,8 +69,8 @@ class NodeLinearForm(namedtuple("NodeLinearForm", "i D E F G")):
 def _parse_row(position, row):
     """One row of a_forms.json; it must be row `position` of the run 1..MAX_I
     and its signed row `a` must equal (-1)^{i-1} (i-1)! (D, E, F, G).  The
-    reduced row `a_tilde` is not checked: row 14 prints one x-cell with the
-    wrong sign (see TILDE_EXEMPT_CELLS)."""
+    reduced row `a_tilde` needs four cells, not checked against it: row 14
+    prints one x-cell with the wrong sign (see TILDE_EXEMPT_CELLS)."""
     i = assets.integer(row["i"])
     if i != position or i > MAX_I:
         raise ValueError(f"has i={i}; rows must run contiguously from 1 to {MAX_I}")
@@ -73,7 +79,10 @@ def _parse_row(position, row):
     want = form.signed()
     if a != want:
         raise ValueError(f"a = {list(a)} but (-1)^(i-1) (i-1)! (D, E, F, G) = {list(want)}")
-    return {"form": form, "a_tilde": tuple(map(assets.integer, row["a_tilde"]))}
+    a_tilde = tuple(map(assets.integer, row["a_tilde"]))
+    if len(a_tilde) != 4:
+        raise ValueError(f"a_tilde has {len(a_tilde)} cells; it needs four, (d, k, s, x)")
+    return {"form": form, "a_tilde": a_tilde}
 
 
 @lru_cache(maxsize=None)

@@ -33,6 +33,35 @@ def test_python_dash_m_runs_the_cli():
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "225\n", "")
 
 
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_verdict(unbuffered):
+    # a reader that closed the pipe at once: each command still returns its
+    # own exit code, and nothing is reported on stderr at exit
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    cases = [
+        (("check",), 3),
+        (("check", "--format", "json"), 3),
+        (("series", "--gyz-check", "--channel", "x", "--order", "15"), 3),
+        (("partitions", "--r", "10"), 0),
+        (("partitions", "--r", "4", "--format", "json"), 0),
+        (("zr", "--r", "3"), 0),
+    ]
+    procs = []
+    for argv, want in cases:
+        proc = subprocess.Popen([sys.executable, "-m", "nodal_atlas", *argv], env=env,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.close()
+        procs.append((argv, want, proc))
+    for argv, want, proc in procs:
+        _, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (want, b""), argv
+
+
 def test_count_with_oracle(capsys):
     code, out, _ = run_cli(capsys, "count", "--degree", "3", "--nodes", "1", "--oracle")
     assert code == 0
@@ -483,6 +512,10 @@ def _corrupt_rows(rows, how):
         rows[6]["i"] = " 7 "
     elif how == "non-ascii-digit":
         rows[2]["i"] = "\u0663"
+    elif how == "short-a-tilde":  # zip() in tilde_consistency would drop these
+        rows[2]["a_tilde"] = []
+    elif how == "long-a-tilde":
+        rows[4]["a_tilde"].append("0")
     return rows
 
 
@@ -490,6 +523,7 @@ def _corrupt_rows(rows, how):
     ("gap", 7), ("short", 15), ("extra", 16), ("missing-key", 4), ("signed-row", 10),
     ("float-cell", 1), ("bool-cell", 1),
     ("underscore-cell", 1), ("spaced-cell", 7), ("non-ascii-digit", 3),
+    ("short-a-tilde", 3), ("long-a-tilde", 5),
 ])
 def test_bad_table_data_exits_2(tmp_path, monkeypatch, capsys, how, row):
     import shutil
@@ -513,6 +547,35 @@ def test_bad_table_data_exits_2(tmp_path, monkeypatch, capsys, how, row):
         monkeypatch.delenv("NODAL_ATLAS_DATA")
         tables._rows.cache_clear()
 
+
+
+def test_check_names_a_nonzero_d_channel(tmp_path, monkeypatch, capsys):
+    # row 3's D raised by one (and its signed cell with it, so the row
+    # loads): the d channel fails, and check says so beside the known x defect
+    import shutil
+
+    import nodal_atlas.tables as tables
+
+    src = Path(tables.__file__).parent / "data"
+    rows = json.loads((src / "a_forms.json").read_text())
+    rows[2]["D"], rows[2]["a"][0] = "691", "1382"
+    (tmp_path / "a_forms.json").write_text(json.dumps(rows))
+    shutil.copy(src / "kazarian.json", tmp_path / "kazarian.json")
+    monkeypatch.setenv("NODAL_ATLAS_DATA", str(tmp_path))
+    tables._rows.cache_clear()
+    try:
+        code, out, _ = run_cli(capsys, "series", "--gyz-check", "--channel", "d", "--order", "5")
+        assert (code, out) == (3, "residual: ['0', '0', '0', '1/3', '6', '48']\n")
+        code, out, _ = run_cli(capsys, "check")
+        assert code == 3
+        line = next(l for l in out.splitlines() if "channel residuals" in l)
+        head = "[FAIL] generating-identity channel residuals (d, x): d-channel nonzero at [(3, '1/3'), "
+        tail = "]; x-channel nonzero at [(15, '992/3')] (known published-table defect)"
+        assert line.startswith(head) and line.endswith(tail)
+        assert line.count("known") == 1
+    finally:
+        monkeypatch.delenv("NODAL_ATLAS_DATA")
+        tables._rows.cache_clear()
 
 
 def _corrupt_thom_rows(rows, how):

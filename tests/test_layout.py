@@ -4,8 +4,8 @@ A public top-level function or class in ``src/nodal_atlas``, and a private
 top-level function, must be used by name somewhere else in the package or in
 the benchmark; a test is not enough (oracles live in ``checks.py`` and
 ``tests/``).  No module may import a name it never uses.  Kernel products
-run through one method, and the CLI reads integers by one rule.  The checks
-parse the source with ``ast``.
+run through one method, the CLI reads integers by one rule and writes its
+output through one function.  The checks parse the source with ``ast``.
 """
 
 import ast
@@ -139,3 +139,21 @@ def test_cli_integers_follow_the_asset_cell_rule():
         or isinstance(node, ast.Call) and is_int(node.func)
     ]
     assert not readers, f"cli.py lines reading integers with int: {readers}"
+
+
+def test_cli_output_goes_through_emit():
+    # _emit turns a closed stdout into silence and keeps the command's exit
+    # code; only the streamed partitions JSON writes on its own, and main
+    # catches it.  _stdout_to_devnull redirects and writes nothing.
+    def writes(node):
+        if isinstance(node, ast.Attribute):
+            return node.attr == "stdout" and isinstance(node.value, ast.Name) and node.value.id == "sys"
+        return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "print" and not any(k.arg == "file" for k in node.keywords))
+
+    writers = {
+        getattr(stmt, "name", f"line {stmt.lineno}")
+        for stmt in ast.parse((PACKAGE / "cli.py").read_text()).body
+        if any(map(writes, ast.walk(stmt)))
+    }
+    assert writers <= {"_emit", "_cmd_partitions", "_stdout_to_devnull"}, writers

@@ -84,3 +84,16 @@ def test_records_built_by_the_library():
 def test_count_error_names_the_surface_by_its_repr():
     with pytest.raises(ArithmeticError, match=r"chern=ChernNumbers\(d=1, k=0, s=0, x=0\)"):
         node_count(2, ChernNumbers(1, 0, 0, 0))
+
+
+@pytest.mark.parametrize("cells, field", [
+    ((16.0, -12, 9, 3), "d"), ((16, True, 9, 3), "k"), ((16, -12, Fraction(9), 3), "s"),
+    ((16, -12, 9, 3.0), "x"),
+])
+def test_chern_numbers_take_integers_only(cells, field):
+    # a float would flow through node_count as a float count (225.0)
+    with pytest.raises(TypeError, match=rf"ChernNumbers\.{field} must be an int"):
+        ChernNumbers(*cells)
+    with pytest.raises(TypeError, match=r"ChernNumbers\.d must be an int"):
+        ChernNumbers.p2(4.0)
+    assert node_count(2, ChernNumbers(16, -12, 9, 3)) == 225
