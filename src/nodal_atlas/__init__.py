@@ -8,6 +8,7 @@ is no floating point in the computational core.
 """
 
 from .chow import (
+    ChernNumbers,
     GradedClass,
     LinearForm,
     P2Class,
@@ -18,7 +19,6 @@ from .chow import (
     excess_a1a2,
     excess_a1a2_p2,
     inverse_tangent_chern,
-    m_poly_p2,
     multiple_point_degree,
     pushforward_to_Y,
     q_general,
@@ -27,7 +27,7 @@ from .chow import (
 )
 from .bell import (
     complete_bell,
-    eval_complete_bell,
+    complete_bell_sequence,
     partial_bell,
 )
 from .exact import PolyD, SparsePoly, binomial
@@ -52,7 +52,6 @@ from .qseries import (
     series_log,
 )
 from .tables import (
-    ChernNumbers,
     NodeLinearForm,
     a_decomposition_check,
     a_form,

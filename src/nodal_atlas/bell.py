@@ -26,9 +26,9 @@ from .partitions import integer_partition_signatures, signature_count
 MAX_R = 15
 
 
-def _check_r(r, lo=1):
-    if not lo <= r <= MAX_R:
-        raise ValueError(f"Bell polynomial index must be in {lo}..{MAX_R}, got {r}")
+def _check_r(r):
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"Bell polynomial index must be in 1..{MAX_R}, got {r}")
 
 
 def _signature_poly(n):
@@ -72,10 +72,3 @@ def complete_bell_sequence(values):
         )
     return y
 
-
-def eval_complete_bell(r, values):
-    """Evaluate the r-th complete Bell polynomial at the given values."""
-    _check_r(r, lo=0)
-    if len(values) < r:
-        raise ValueError(f"need at least {r} values, got {len(values)}")
-    return complete_bell_sequence(values[:r])[r]

@@ -18,8 +18,8 @@ from itertools import accumulate
 from operator import mul
 
 from . import chow, kazarian
+from .bell import complete_bell
 from .exact import PolyD, _as_fraction
-from .partitions import integer_partition_signatures, signature_count
 from .qseries import TABLE_ORDER, gyz_channel_residual, recover_b1, recover_log_b1, recover_log_b1_direct
 from .tables import (
     MAX_I,
@@ -84,19 +84,21 @@ REFERENCE_RATIOS = {
 
 @lru_cache(maxsize=None)
 def _signature_terms(r):
-    """The monomials of the r-th complete Bell polynomial, one per integer
-    partition, as (count, indices).  The power table of an evaluation holds
-    x_i^0..x_i^{r//i} for i = 1..r in turn, so each (block size i,
-    multiplicity j) becomes one index into it."""
+    """The monomials of `bell.complete_bell(r)` as (count, indices), r = 0
+    the empty product.  The power table of an evaluation holds x_i^0..x_i^{r//i}
+    for i = 1..r in turn, so each (block size i, multiplicity j > 0) becomes
+    one index into it."""
+    if r == 0:
+        return ((1, ()),)
     offsets = list(accumulate((r // i + 1 for i in range(1, r + 1)), initial=0))
     return tuple(
-        (signature_count(r, sig), tuple(offsets[i - 1] + j for i, j in sorted(sig.items())))
-        for sig in integer_partition_signatures(r)
+        (count, tuple(offsets[i] + j for i, j in enumerate(expo) if j))
+        for expo, count in complete_bell(r).terms.items()
     )
 
 
 def complete_bell_by_signatures(r, values):
-    """Oracle for bell.eval_complete_bell: the p(r)-term sum over block-size
+    """Oracle for bell.complete_bell_sequence: the p(r)-term sum over block-size
     signatures of count * prod x_i^{j_i}.  Integers stay integers; any other
     input is evaluated in Fractions.  The sum is memoised on the values
     themselves, so no reload of the table data can make it stale; the memo

@@ -6,7 +6,7 @@ Both rings are truncations of the sparse polynomial kernel
 * ``GradedClass`` works over a general polarized surface in the symbols
   L, K, x (surface classes; L, K of degree 1, x of degree 2, truncated
   above surface degree 2) and H (hyperplane class of the linear system,
-  truncated above H_CAP).
+  truncated above Q_MAX).
 
 * ``P2Class`` is the projective-plane specialization in the hyperplane
   class l (l^3 = 0) and H, with the formal curve degree d as a third
@@ -18,23 +18,46 @@ any extracted coefficient, so dropping them is sound and keeps every
 product finite.
 
 What the surface ring pushes forward to, a ``LinearForm`` in the four Chern
-numbers, is the same kernel on the unit exponents.  Q_n, the corrections
-C_n and the excess E are such forms, read from one table of surface classes;
-their values on (P^2, O(d)), ``exact.PolyD`` in d, are specialisations.  The
-plane ring remains only as the coefficient-extraction route to Q_n.
+numbers (a surface's ``ChernNumbers``), is the same kernel on the unit
+exponents.  Q_n, the corrections C_n and the excess E are such forms, read
+from one table of surface classes; their values on (P^2, O(d)),
+``exact.PolyD`` in d, are specialisations.  The plane ring remains only as
+the coefficient-extraction route to Q_n.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from .bell import eval_complete_bell
+from .bell import complete_bell_sequence
 from .exact import PolyD, SparsePoly, binomial, format_rational
 
-Q_MAX = 8
-H_CAP = Q_MAX  # no extraction reads a power of H above Q_MAX
+Q_MAX = 8  # also the H cap: no extraction reads a power of H above Q_MAX
+
+
+class ChernNumbers(namedtuple("ChernNumbers", "d k s x")):
+    """The four intersection numbers of a polarized surface: d = L^2, k = L.K,
+    s = K^2, x = c_2(S), each an int (TypeError if not, `_make` included)."""
+
+    __slots__ = ()
+
+    def __new__(cls, d, k, s, x):
+        if not type(d) is type(k) is type(s) is type(x) is int:
+            name, value = next(p for p in zip(cls._fields, (d, k, s, x)) if type(p[1]) is not int)
+            raise TypeError(f"ChernNumbers.{name} must be an int, got {value!r}")
+        return tuple.__new__(cls, (d, k, s, x))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    @classmethod
+    def p2(cls, degree):
+        """(P^2, O(degree)): (degree^2, -3 degree, 9, 3)."""
+        return cls(degree * degree, -3 * degree, 9, 3)
 
 
 _UNITS = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
@@ -76,11 +99,11 @@ class LinearForm(SparsePoly):
 
 class GradedClass(SparsePoly):
     """Element of the truncated ring Q[L, K, x, H] with monomial keys
-    (e_L, e_K, e_x, e_H); surface degree capped at 2, H power at H_CAP."""
+    (e_L, e_K, e_x, e_H); surface degree capped at 2, H power at Q_MAX."""
 
     __slots__ = ()
     names = ("L", "K", "x", "H")
-    caps = (((1, 1, 2, 0), 2), ((0, 0, 0, 1), H_CAP))
+    caps = (((1, 1, 2, 0), 2), ((0, 0, 0, 1), Q_MAX))
 
     def __init__(self, terms=None):
         super().__init__(4, terms)
@@ -104,15 +127,10 @@ def chern_principal_parts():
     return (u**2 + u * K + X) * u
 
 
-def tangent_chern():
-    """Total Chern class of the relative tangent bundle: 1 - K + x."""
-    return 1 - K + X
-
-
 def inverse_tangent_chern():
-    """1 + K + (K^2 - x): the geometric series of 1/(1 - u) with
-    u = 1 - c(T) = K - x, which ends because u is nilpotent."""
-    u = 1 - tangent_chern()
+    """1 + K + (K^2 - x): the geometric series of 1/(1 - u), u = 1 - c(T) = K - x
+    for c(T) = 1 - K + x of the relative tangent bundle; u is nilpotent."""
+    u = K - X
     result = term = 1
     while term:
         term = term * u
@@ -125,8 +143,8 @@ def pushforward_to_Y(c, n):
 
     The dimension count leaves only L^2 -> d, LK -> k, K^2 -> s, x -> x.
     """
-    if n > H_CAP:
-        raise ValueError(f"H power {n} exceeds the truncation cap {H_CAP}")
+    if n > Q_MAX:
+        raise ValueError(f"H power {n} exceeds the truncation cap {Q_MAX}")
     return LinearForm(
         d=c.coefficient((2, 0, 0, n)),
         k=c.coefficient((1, 1, 0, n)),
@@ -183,12 +201,12 @@ def excess_a1a2():
 
 
 class P2Class(SparsePoly):
-    """Element of Q[l, H, d]/(l^3) with H truncated above H_CAP; keys are
+    """Element of Q[l, H, d]/(l^3) with H truncated above Q_MAX; keys are
     (e_l, e_H, e_d), with d the curve degree."""
 
     __slots__ = ()
     names = ("l", "H", "d")
-    caps = (((1, 0, 0), 2), ((0, 1, 0), H_CAP))
+    caps = (((1, 0, 0), 2), ((0, 1, 0), Q_MAX))
 
     def __init__(self, terms=None):
         super().__init__(3, terms)
@@ -201,9 +219,9 @@ class P2Class(SparsePoly):
 
 @lru_cache(maxsize=1)
 def _plane_table():
-    """(M_1, ..., M_{Q_MAX}) in one pass, M_{n+1} = M_n (1 + H + (d-1)l)^3
-    (1 - 3l + 6l^2), built whole on first use so that no call's cost depends
-    on which n came first."""
+    """(M_1, ..., M_{Q_MAX}), M_n = (1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1}
+    (H + (d-1)l)^3, in one pass, built whole on first use so that no call's
+    cost depends on which n came first.  Callers must not mutate it."""
     d, l, H = (P2Class({e: 1}) for e in ((0, 0, 1), (1, 0, 0), (0, 1, 0)))
     dm1_l = l * (d - 1)
     step = (1 + H + dm1_l) ** 3 * (1 - 3 * l + 6 * l * l)
@@ -213,17 +231,11 @@ def _plane_table():
     return tuple(table)
 
 
-def m_poly_p2(n):
-    """(1 + H + (d-1)l)^{3(n-1)} (1 - 3l + 6l^2)^{n-1} (H + (d-1)l)^3, the
-    table's own class: callers must not mutate it."""
-    if not 1 <= n <= Q_MAX:
-        raise ValueError(f"m_poly_p2: n must be in 1..{Q_MAX}, got {n}")
-    return _plane_table()[n - 1]
-
-
 def q_p2_extraction(n):
-    """Coefficient of l^2 H^n in the expanded diagonal class; a quadratic in d."""
-    return m_poly_p2(n).coefficient(2, n)
+    """Coefficient of l^2 H^n in the expanded diagonal class M_n; a quadratic in d."""
+    if not 1 <= n <= Q_MAX:
+        raise ValueError(f"q_p2_extraction: n must be in 1..{Q_MAX}, got {n}")
+    return _plane_table()[n - 1].coefficient(2, n)
 
 
 def q_p2_closed(n):
@@ -265,7 +277,7 @@ def multiple_point_degree(r, d):
         qi = q_p2_closed(i)(d)
         ci = c_correction_p2(i)(d)
         args.append((-1) ** (i - 1) * math.factorial(i - 1) * (qi + ci))
-    value = eval_complete_bell(r, args)
+    value = complete_bell_sequence(args)[r]
     if value.denominator != 1:
         raise AssertionError(f"multiple point degree is not integral: {value}")
     return value.numerator

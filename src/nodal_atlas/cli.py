@@ -16,7 +16,7 @@ from functools import lru_cache
 from itertools import chain, repeat
 
 from . import assets, checks
-from .bell import MAX_R, complete_bell, eval_complete_bell, partial_bell
+from .bell import MAX_R, complete_bell, complete_bell_sequence, partial_bell
 from .chow import Q_MAX, c_correction_p2, q_general, q_p2_closed, q_p2_extraction
 from .exact import format_rational
 from .kazarian import count_multisingular, parse_type, s_alpha, type_key
@@ -95,14 +95,19 @@ def _surface(args):
     raise ValueError("a surface is required: --degree D for the plane, or --chern d,k,s,x")
 
 
-def _stdout_to_devnull():
-    """Drop the output a closed stdout refused; the exit flush stays silent."""
-    with open(os.devnull, "w") as null:
-        os.dup2(null.fileno(), sys.stdout.fileno())
+def _flush_stdout():
+    """Flush stdout; a closed one is pointed at os.devnull, which drops what
+    it refused, so the exit flush stays silent."""
+    try:
+        sys.stdout.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "w") as null:
+            os.dup2(null.fileno(), sys.stdout.fileno())
 
 
 def _emit(args, text_lines, payload, csv_rows=None):
-    """The one writer of command output; a closed stdout costs no exit code."""
+    """The one writer of command output; a closed stdout costs no exit code,
+    and main's last flush drops what it refused."""
     try:
         if args.format == "text":
             sys.stdout.writelines(f"{line}\n" for line in text_lines)
@@ -110,9 +115,8 @@ def _emit(args, text_lines, payload, csv_rows=None):
             print(json.dumps(payload, indent=2))
         else:
             csv.writer(sys.stdout, lineterminator="\n").writerows(csv_rows or [])
-        sys.stdout.flush()
     except BrokenPipeError:
-        _stdout_to_devnull()
+        pass
 
 
 def _emit_form(args, payload, form):
@@ -233,14 +237,13 @@ def _cmd_partitions(args):
         _emit(args, lines, None)
     elif args.format == "json":  # streamed, in the bytes of json.dumps(..., indent=2)
         head = {"command": "partitions", "r": args.r,
-                "count": eval_complete_bell(args.r, [1] * args.r)}  # Bell number B_r
+                "count": complete_bell_sequence([1] * args.r)[args.r]}  # Bell number B_r
         sys.stdout.write(json.dumps(head, indent=2)[:-2] + ',\n  "partitions": [')
         record = '%s\n    {\n      "partition": %s,\n      "blocks": %d,\n      "mobius": "%d"\n    }'
         sys.stdout.writelines(
             record % (sep, json.dumps(format_partition(pi)), len(pi), mobius_coefficient(pi))
             for sep, pi in zip(chain([""], repeat(",")), parts))
         sys.stdout.write("\n  ]\n}\n")
-        sys.stdout.flush()  # a closed stdout raises here, for main to catch
     else:
         rows = ([format_partition(pi), len(pi), mobius_coefficient(pi)] for pi in parts)
         _emit(args, [], None, chain([["partition", "blocks", "mobius"]], rows))
@@ -433,12 +436,10 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)  # --help writes, then raises SystemExit
         return args.run(args)
     except BrokenPipeError:  # the streamed `partitions --format json` output
-        _stdout_to_devnull()
         return EXIT_OK
     except (ValueError, KeyError) as exc:
         # str() of a KeyError is the repr of its argument, quotes included
@@ -448,6 +449,8 @@ def main(argv=None):
     except (ArithmeticError, AssertionError, ConsistencyError) as exc:
         print(f"consistency failure: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    finally:
+        _flush_stdout()
 
 
 if __name__ == "__main__":

@@ -38,7 +38,7 @@ def binomial(n, k):
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, (int, str)):
+    if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

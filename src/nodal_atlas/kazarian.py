@@ -11,15 +11,15 @@ from functools import lru_cache
 from itertools import islice
 
 from . import assets
-from .chow import LinearForm
+from .chow import ChernNumbers, LinearForm
 from .partitions import iter_partitions
 
 CODIM = {"A1": 1, "A2": 2, "A3": 3, "A4": 4, "D4": 4}
 
-# An exponent of 0 does not parse: A1^0*A2 is not A2.
-_LABEL_RE = re.compile(r"^(A[1-4]|D4)(?:\^(0*[1-9]\d*))?$")
-# Every label has codimension >= 1 and the table stops at codimension 4.
-MAX_CODIM = 4
+# A label is a key of CODIM.  An exponent of 0 does not parse: A1^0*A2 is not A2.
+_LABEL_RE = re.compile(rf"^({'|'.join(CODIM)})(?:\^(0*[1-9]\d*))?$")
+# Every label has codimension >= 1, so no exponent can exceed the largest codimension.
+MAX_CODIM = max(CODIM.values())
 
 
 def parse_type(text):
@@ -114,8 +114,10 @@ def count_multisingular(alpha, chern):
     Sum over unordered set partitions of the label index set of products of
     the tabulated forms on the induced sub-multisets, divided by the
     automorphism order of the type.  Exact rational; integral for geometric
-    Chern numbers.
+    Chern numbers, which are read through ChernNumbers like node_count's.
     """
+    if type(chern) is not ChernNumbers:
+        chern = ChernNumbers._make(chern)
     labels = _as_type(alpha)
     # the one-block term, looked up first so that a type outside the table
     # fails before any enumeration

@@ -46,8 +46,7 @@ from functools import lru_cache
 
 from .bell import complete_bell_sequence
 from .exact import _as_fraction, format_rational
-
-TABLE_ORDER = 15  # the coefficient table supplies rows 1..15
+from .tables import MAX_I as TABLE_ORDER  # the coefficient table supplies rows 1..MAX_I
 
 CHANNELS = ("d", "k", "s", "x")
 

@@ -13,28 +13,11 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import assets, chow, kazarian
+from .chow import ChernNumbers
 from .exact import SparsePoly
 from .partitions import MAX_R, iter_partitions
 
 MAX_I = 15
-
-
-class ChernNumbers(namedtuple("ChernNumbers", "d k s x")):
-    """The four intersection numbers of a polarized surface:
-    d = L^2, k = L.K, s = K^2, x = c_2(S), each an int (TypeError if not)."""
-
-    __slots__ = ()
-
-    def __new__(cls, d, k, s, x):
-        if not type(d) is type(k) is type(s) is type(x) is int:
-            name, value = next(p for p in zip(cls._fields, (d, k, s, x)) if type(p[1]) is not int)
-            raise TypeError(f"ChernNumbers.{name} must be an int, got {value!r}")
-        return tuple.__new__(cls, (d, k, s, x))
-
-    @classmethod
-    def p2(cls, degree):
-        """(P^2, O(degree)): (degree^2, -3 degree, 9, 3)."""
-        return cls(degree * degree, -3 * degree, 9, 3)
 
 
 class NodeLinearForm(namedtuple("NodeLinearForm", "i D E F G")):
@@ -106,12 +89,6 @@ def all_forms():
     return [a_form(i) for i in range(1, MAX_I + 1)]
 
 
-def a_tilde_raw(i):
-    """The published coefficients of a_i/(i-1)!, as stored (including the
-    known sign typo in the x-cell of row 14)."""
-    return _rows()[i]["a_tilde"]
-
-
 def tilde_consistency(i):
     """Compare the stored tilde row against a_i/(i-1)! cell by cell.
 
@@ -120,7 +97,7 @@ def tilde_consistency(i):
     the a_i row is authoritative there.
     """
     derived = (c // math.factorial(i - 1) for c in a_form(i).signed())
-    return [a == b for a, b in zip(derived, a_tilde_raw(i))]
+    return [a == b for a, b in zip(derived, _rows()[i]["a_tilde"])]
 
 
 TILDE_EXEMPT_CELLS = {(14, 3)}  # (row, column index of x): documented sign typo
@@ -137,10 +114,12 @@ def node_count(r, chern):
     pass, each step one exact division by m.  Off the adjunction/Noether
     lattice a step may not divide; the pass then goes on in Fractions, and a
     non-integral N_r, which signals corrupted table data or numbers that are
-    no surface's, raises ArithmeticError.
+    no surface's, raises ArithmeticError; chern is read through ChernNumbers.
     """
     if r < 0 or r > MAX_I:
         raise ValueError(f"node_count: r must be in 0..{MAX_I}, got {r}")
+    if type(chern) is not ChernNumbers:
+        chern = ChernNumbers._make(chern)
     rows = _rows()
     signed = [(-1) ** (i - 1) * rows[i]["form"].linear_value(chern) for i in range(1, r + 1)]
     counts = [1]
@@ -169,6 +148,8 @@ def node_count_bruteforce(r, chern):
     """
     if not 0 <= r <= MAX_R:
         raise ValueError(f"node_count_bruteforce: r must be in 0..{MAX_R}, got {r}")
+    if type(chern) is not ChernNumbers:
+        chern = ChernNumbers._make(chern)
     if r == 0:
         return 1
     values = [a_form(i).evaluate(chern) for i in range(1, r + 1)]
@@ -249,21 +230,22 @@ def _bell_ys():
 
 
 @lru_cache(maxsize=None)
-def _node_terms():
-    """Index r in 1..MAX_I: the terms of Y_r/r! as {exponent tuple: Fraction}.
+def _node_polynomials():
+    """Index r in 1..MAX_I: Y_r/r! as a SparsePoly over {exponent tuple: Fraction}.
 
     The whole table is built in one pass on first use, from the a_i as
-    `_rows` first loaded them, so every later node polynomial costs one
-    read-only view, whichever r comes first.  Each distinct packed key is
-    unpacked once, and the node polynomials share its tuple.
+    `_rows` first loaded them, so every later node polynomial is a lookup,
+    whichever r comes first.  Each distinct packed key is unpacked once,
+    and the node polynomials share its tuple.
     """
     ys = _bell_ys()
     exponents = {key: _unpack(key) for key in set().union(*ys)}
-    terms = [None]
+    polys = [None]
     for r in range(1, MAX_I + 1):
         r_factorial = math.factorial(r)
-        terms.append({exponents[key]: Fraction(c, r_factorial) for key, c in ys[r].items()})
-    return tuple(terms)
+        terms = {exponents[key]: Fraction(c, r_factorial) for key, c in ys[r].items()}
+        polys.append(SparsePoly(4)._new(terms))
+    return tuple(polys)
 
 
 def node_polynomial(r):
@@ -273,11 +255,11 @@ def node_polynomial(r):
     Y_r comes from `_bell_ys`, the binomial convolution of one integer Bell
     table per Chern number, run once per process for every r <= MAX_I on
     packed exponents.  The only division is the exact one by r!; the result
-    is a SparsePoly over the cached terms, which its read-only view guards.
+    is the cached, immutable SparsePoly itself, one object per r.
     """
     if not 1 <= r <= MAX_I:
         raise ValueError(f"node_polynomial: r must be in 1..{MAX_I}, got {r}")
-    return SparsePoly(4)._new(_node_terms()[r])
+    return _node_polynomials()[r]
 
 
 def severi_degree_p2(d, r):

@@ -5,7 +5,6 @@ import pytest
 
 from nodal_atlas import chow
 from nodal_atlas.chow import (
-    H_CAP,
     K,
     Q_MAX,
     X,
@@ -19,13 +18,11 @@ from nodal_atlas.chow import (
     excess_a1a2,
     excess_a1a2_p2,
     inverse_tangent_chern,
-    m_poly_p2,
     multiple_point_degree,
     pushforward_to_Y,
     q_general,
     q_p2_closed,
     q_p2_extraction,
-    tangent_chern,
 )
 from nodal_atlas.exact import PolyD, SparsePoly
 
@@ -106,7 +103,7 @@ def test_corrections_and_excess_in_four_variables():
 def test_inverse_tangent_chern_closed_form():
     one = GradedClass({(0, 0, 0, 0): 1})
     assert inverse_tangent_chern() == one + K + K * K - X
-    assert tangent_chern() * inverse_tangent_chern() == one
+    assert (1 - K + X) * inverse_tangent_chern() == one
 
 
 def _random_class(rng, max_h=6):
@@ -139,7 +136,7 @@ def test_pushforward_linearity_random():
 
 def test_pushforward_cap():
     with pytest.raises(ValueError):
-        pushforward_to_Y(GradedClass({(0, 0, 0, 0): 1}), H_CAP + 1)
+        pushforward_to_Y(GradedClass({(0, 0, 0, 0): 1}), Q_MAX + 1)
 
 
 def test_critical_class_degree_one_part():
@@ -161,11 +158,12 @@ def test_interpolation_reproduces_extraction():
 
 
 def test_m_poly_range():
-    with pytest.raises(ValueError):
-        m_poly_p2(0)
-    with pytest.raises(ValueError):
-        m_poly_p2(Q_MAX + 1)
-    assert m_poly_p2(1).coefficient(2, 1) == q_p2_extraction(1)
+    # the extraction reads M_n from the plane table, which stops at Q_MAX
+    for n in (0, Q_MAX + 1):
+        with pytest.raises(ValueError, match=r"q_p2_extraction: n must be in 1\.\.8"):
+            q_p2_extraction(n)
+    assert chow._plane_table()[0].coefficient(2, 1) == q_p2_extraction(1)
+    assert q_p2_extraction(Q_MAX) == q_p2_closed(Q_MAX)
 
 
 def _m_poly_from_scratch(n):
@@ -179,7 +177,7 @@ def _m_poly_from_scratch(n):
 
 def test_plane_table_equals_the_expansion_from_scratch():
     for n in range(1, Q_MAX + 1):
-        got = m_poly_p2(n)
+        got = chow._plane_table()[n - 1]
         assert type(got) is P2Class
         assert got.terms == _m_poly_from_scratch(n).terms, n
 

@@ -50,6 +50,11 @@ def test_closed_stdout_keeps_the_verdict(unbuffered):
         (("partitions", "--r", "10"), 0),
         (("partitions", "--r", "4", "--format", "json"), 0),
         (("zr", "--r", "3"), 0),
+        # argparse writes the help into the buffer, flushed by main as by _emit
+        (("--help",), 0),
+        (("series", "--help"), 0),
+        (("count", "--help"), 0),
+        (("count", "--nodes"), 2),  # a usage error keeps its message on stderr
     ]
     procs = []
     for argv, want in cases:
@@ -59,7 +64,10 @@ def test_closed_stdout_keeps_the_verdict(unbuffered):
         procs.append((argv, want, proc))
     for argv, want, proc in procs:
         _, err = proc.communicate(timeout=60)
-        assert (proc.returncode, err) == (want, b""), argv
+        if want == 2:
+            assert proc.returncode == 2 and b"error: argument --nodes/-r: expected" in err, argv
+        else:
+            assert (proc.returncode, err) == (want, b""), argv
 
 
 def test_count_with_oracle(capsys):

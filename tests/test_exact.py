@@ -8,7 +8,7 @@ from types import MappingProxyType
 import pytest
 
 from nodal_atlas import bell, checks, chow, kazarian, qseries, tables
-from nodal_atlas.chow import H, H_CAP, GradedClass, LinearForm, P2Class
+from nodal_atlas.chow import H, Q_MAX, GradedClass, LinearForm, P2Class
 from nodal_atlas.exact import PolyD, SparsePoly, binomial, format_rational
 
 
@@ -79,11 +79,11 @@ def _schoolbook(a, b, keep):
 
 
 def _graded_keep(e):
-    return e[0] + e[1] + 2 * e[2] <= 2 and e[3] <= H_CAP
+    return e[0] + e[1] + 2 * e[2] <= 2 and e[3] <= Q_MAX
 
 
 def _plane_keep(e):
-    return e[0] <= 2 and e[1] <= H_CAP
+    return e[0] <= 2 and e[1] <= Q_MAX
 
 
 def _coeff(rng, fractions=True):
@@ -100,9 +100,9 @@ def _random_terms(rng, arity, n, top, fractions=True):
 # degree d of P2Class is uncapped, so it also crosses the 127/255 widths
 _CAPPED_DRAWS = (
     (GradedClass, _graded_keep, lambda rng: (
-        rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, H_CAP + 1))),
+        rng.randint(0, 2), rng.randint(0, 2), rng.randint(0, 1), rng.randint(0, Q_MAX + 1))),
     (P2Class, _plane_keep, lambda rng: (
-        rng.randint(0, 3), rng.randint(0, H_CAP + 1), rng.choice((0, 1, 2, 127, 128, 255, 256)))),
+        rng.randint(0, 3), rng.randint(0, Q_MAX + 1), rng.choice((0, 1, 2, 127, 128, 255, 256)))),
 )
 
 
@@ -149,7 +149,7 @@ def test_packed_power_of_a_binomial():
     x_plus_1 = SparsePoly(1, {(1,): 1, (0,): 1})
     assert (x_plus_1**300).terms == {(k,): math.comb(300, k) for k in range(301)}
     assert (H + 1) ** 300 == GradedClass(
-        {(0, 0, 0, k): math.comb(300, k) for k in range(H_CAP + 1)}
+        {(0, 0, 0, k): math.comb(300, k) for k in range(Q_MAX + 1)}
     )
 
 
@@ -187,13 +187,24 @@ def test_float_coefficients_are_refused(make):
         make()
 
 
+@pytest.mark.parametrize("make", [
+    lambda: SparsePoly(1, {(1,): "1/3"}),
+    lambda: qseries.PowerSeries(["1/3", 2]),
+    lambda: format_rational("1/3"),
+], ids=["SparsePoly", "PowerSeries", "format_rational"])
+def test_str_coefficients_are_refused(make):
+    # coefficients are int or Fraction; no constructor parses text
+    with pytest.raises(TypeError, match=r"cannot interpret '1/3' as an exact rational"):
+        make()
+
+
 # Every polynomial a cache hands out, or slices from a cached value, shared
 # by all its callers.
 CACHED_VALUES = {
     "complete_bell": lambda: bell.complete_bell(4),
     "partial_bell": lambda: bell.partial_bell(6, 3),
     "class_table": lambda: chow._class_table()[1],
-    "m_poly_p2": lambda: chow.m_poly_p2(3),
+    "plane_table": lambda: chow._plane_table()[2],
     "c_correction_p2": lambda: chow.c_correction_p2(3),
     "excess_a1a2": chow.excess_a1a2,
     "s_alpha": lambda: kazarian.s_alpha("A1"),

@@ -4,8 +4,10 @@ A public top-level function or class in ``src/nodal_atlas``, and a private
 top-level function, must be used by name somewhere else in the package or in
 the benchmark; a test is not enough (oracles live in ``checks.py`` and
 ``tests/``).  No module may import a name it never uses.  Kernel products
-run through one method, the CLI reads integers by one rule and writes its
-output through one function.  The checks parse the source with ``ast``.
+run through one method, block-size signatures are enumerated for one
+caller, no top-level value has a second name, and the CLI reads integers by
+one rule and writes its output through one function.  The checks parse the
+source with ``ast``.
 """
 
 import ast
@@ -126,6 +128,42 @@ def test_one_product_path():
     assert callers == ["exact.py:__mul__"], callers
 
 
+def test_one_signature_enumeration():
+    # the block-size signatures of an r-set feed the complete Bell polynomial
+    # once; every other reader takes its terms from bell.complete_bell
+    callers = [
+        f"{path.name}:{node.name}"
+        for path in MODULES
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.FunctionDef)
+        and any(isinstance(n, ast.Name) and n.id == "integer_partition_signatures"
+                for n in ast.walk(node))
+    ]
+    assert callers == ["bell.py:_signature_poly"], callers
+
+
+def test_no_second_name_for_a_top_level_value():
+    # `NAME = OTHER`, OTHER bound at the top level of the same module, gives
+    # one value two names: readers then have two to follow and keep in step
+    aliases = []
+    for path in [PACKAGE / "__init__.py", *MODULES]:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        bound = set()
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                bound.add(stmt.name)
+            elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
+                bound |= {(a.asname or a.name).split(".")[0] for a in stmt.names}
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+                value = stmt.value
+                if isinstance(value, ast.Name) and value.id in bound:
+                    aliases += [f"{path.name}:{stmt.lineno}:{name} = {value.id}" for name in names]
+                bound |= names
+    assert not aliases, f"second names for one value: {aliases}"
+
+
 def test_cli_integers_follow_the_asset_cell_rule():
     # int() reads '1_000', '+3', ' 7 ' and non-ASCII digits; assets.integer
     # refuses them, for every flag and every --chern cell alike
@@ -144,7 +182,7 @@ def test_cli_integers_follow_the_asset_cell_rule():
 def test_cli_output_goes_through_emit():
     # _emit turns a closed stdout into silence and keeps the command's exit
     # code; only the streamed partitions JSON writes on its own, and main
-    # catches it.  _stdout_to_devnull redirects and writes nothing.
+    # catches it.  _flush_stdout flushes and redirects, and writes nothing.
     def writes(node):
         if isinstance(node, ast.Attribute):
             return node.attr == "stdout" and isinstance(node.value, ast.Name) and node.value.id == "sys"
@@ -156,4 +194,4 @@ def test_cli_output_goes_through_emit():
         for stmt in ast.parse((PACKAGE / "cli.py").read_text()).body
         if any(map(writes, ast.walk(stmt)))
     }
-    assert writers <= {"_emit", "_cmd_partitions", "_stdout_to_devnull"}, writers
+    assert writers <= {"_emit", "_cmd_partitions", "_flush_stdout"}, writers

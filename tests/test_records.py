@@ -14,6 +14,7 @@ import pytest
 import nodal_atlas
 from nodal_atlas.checks import CheckResult
 from nodal_atlas.chow import LinearForm
+from nodal_atlas.kazarian import count_multisingular
 from nodal_atlas.tables import (
     ChernNumbers,
     DecompositionReport,
@@ -22,6 +23,7 @@ from nodal_atlas.tables import (
     a_decomposition_check,
     a_form,
     node_count,
+    node_count_bruteforce,
     ratio_table,
 )
 
@@ -97,3 +99,23 @@ def test_chern_numbers_take_integers_only(cells, field):
     with pytest.raises(TypeError, match=r"ChernNumbers\.d must be an int"):
         ChernNumbers.p2(4.0)
     assert node_count(2, ChernNumbers(16, -12, 9, 3)) == 225
+
+
+def test_every_build_and_count_reads_chern_numbers_through_the_check():
+    # namedtuple's _make and _replace build with tuple.__new__ unless routed
+    # through the class; the counts read any 4-sequence through ChernNumbers
+    with pytest.raises(TypeError, match=r"ChernNumbers\.d must be an int, got 16\.0"):
+        ChernNumbers.p2(4)._replace(d=16.0)
+    with pytest.raises(TypeError, match=r"ChernNumbers\.d must be an int, got 16\.0"):
+        ChernNumbers._make([16.0, -12, 9, 3])
+    assert ChernNumbers.p2(4)._replace(d=25) == ChernNumbers(25, -12, 9, 3)
+    counts = (node_count, node_count_bruteforce, lambda r, chern: count_multisingular("A1", chern))
+    for count in counts:
+        with pytest.raises(TypeError, match=r"ChernNumbers\.d must be an int, got 16\.0"):
+            count(2, (16.0, -12, 9, 3))
+        with pytest.raises(TypeError):
+            count(2, (16, -12, 9))
+    # integer sequences keep working, on the adjunction/Noether lattice or off it
+    assert node_count(2, (16, -12, 9, 3)) == node_count_bruteforce(2, [16, -12, 9, 3]) == 225
+    assert count_multisingular("A1", (16, -12, 9, 3)) == 27
+    assert node_count(1, (1, 0, 0, 0)) == node_count_bruteforce(1, (1, 0, 0, 0)) == 3

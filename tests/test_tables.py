@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from nodal_atlas import assets, checks, tables
-from nodal_atlas.bell import SparsePoly, eval_complete_bell, partial_bell
+from nodal_atlas.bell import SparsePoly, complete_bell_sequence, partial_bell
 from nodal_atlas.checks import complete_bell_by_signatures, node_count_by_signatures
 from nodal_atlas.chow import LinearForm, multiple_point_degree
 from nodal_atlas.exact import PolyD
@@ -22,7 +22,6 @@ from nodal_atlas.tables import (
     UNDEFINED_RATIO,
     a_decomposition_check,
     a_form,
-    a_tilde_raw,
     all_forms,
     node_count,
     node_count_bruteforce,
@@ -103,7 +102,7 @@ def test_tilde_rows_consistent_except_exempt_cell():
 def test_exempt_cell_is_a_sign_flip():
     # the stored reduced row differs from the signed row by sign only there
     form = a_form(14)
-    assert a_tilde_raw(14)[3] == form.G * (-1) ** (14 - 1) * -1
+    assert tables._rows()[14]["a_tilde"][3] == form.G * (-1) ** (14 - 1) * -1
 
 
 def test_row_evaluation():
@@ -209,7 +208,7 @@ def test_bruteforce_stays_a_set_partition_sum(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle left the set-partition sum")
 
-    for module, name in ((tables, "node_count"), (bell, "eval_complete_bell"),
+    for module, name in ((tables, "node_count"), (bell, "complete_bell_sequence"),
                          (checks, "complete_bell_by_signatures")):
         monkeypatch.setattr(module, name, refuse)
     walked = []
@@ -245,7 +244,7 @@ def test_newton_route_equals_bell_recurrence_over_r_factorial():
         seen_fraction = False
         for r in range(0, MAX_I + 1):
             # the binomial complete-Bell recurrence, exactly: Y_r(a_1..a_r)/r!
-            want = Fraction(eval_complete_bell(r, values), math.factorial(r))
+            want = Fraction(complete_bell_sequence(values[:r])[r], math.factorial(r))
             if want.denominator == 1:
                 got = node_count(r, chern)
                 assert type(got) is int and got == want, (r, chern)
@@ -468,6 +467,12 @@ def test_node_polynomial_results_are_fresh():
         first.terms[(9, 9, 9, 9)] = Fraction(1)
     assert node_polynomial(6).terms == want
     assert node_polynomial(7).evaluate([16, -12, 9, 3]) == node_count(7, ChernNumbers.p2(4))
+
+
+def test_node_polynomial_is_one_object_per_r():
+    # the cached, immutable polynomial itself, not a new wrapper per call
+    assert node_polynomial(5) is node_polynomial(5)
+    assert node_polynomial(5) is not node_polynomial(6)
 
 
 def test_packed_exponents_round_trip():
