@@ -115,30 +115,28 @@ def test_one_multiplication_kernel():
     assert not keep, f"classes that define keep: {keep}"
 
 
-def test_one_product_path():
-    # a power is square-and-multiply over __mul__, so every kernel product,
-    # and every count of them, passes through one method
-    callers = [
+def _functions_naming(name):
+    """`module:function` of each function in the package that names `name`."""
+    return [
         f"{path.name}:{node.name}"
         for path in MODULES
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
         if isinstance(node, ast.FunctionDef)
-        and any(isinstance(n, ast.Name) and n.id == "_product" for n in ast.walk(node))
+        and any(isinstance(n, ast.Name) and n.id == name for n in ast.walk(node))
     ]
+
+
+def test_one_product_path():
+    # a power is square-and-multiply over __mul__, so every kernel product,
+    # and every count of them, passes through one method
+    callers = _functions_naming("_product")
     assert callers == ["exact.py:__mul__"], callers
 
 
 def test_one_signature_enumeration():
     # the block-size signatures of an r-set feed the complete Bell polynomial
     # once; every other reader takes its terms from bell.complete_bell
-    callers = [
-        f"{path.name}:{node.name}"
-        for path in MODULES
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
-        if isinstance(node, ast.FunctionDef)
-        and any(isinstance(n, ast.Name) and n.id == "integer_partition_signatures"
-                for n in ast.walk(node))
-    ]
+    callers = _functions_naming("integer_partition_signatures")
     assert callers == ["bell.py:_signature_poly"], callers
 
 
