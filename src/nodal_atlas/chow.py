@@ -52,7 +52,8 @@ class ChernNumbers(namedtuple("ChernNumbers", "d k s x")):
 
     @classmethod
     def _make(cls, iterable):
-        return cls(*iterable)
+        """A record as it is; anything else is read into a new, checked one."""
+        return iterable if type(iterable) is cls else cls(*iterable)
 
     @classmethod
     def p2(cls, degree):
@@ -84,10 +85,9 @@ class LinearForm(SparsePoly):
         super().__init__(4, dict(zip(_UNITS, (d, k, s, x))))
 
     def evaluate(self, chern):
-        """Value at a surface, given anything with attributes d, k, s, x."""
-        return (
-            self.d * chern.d + self.k * chern.k + self.s * chern.s + self.x * chern.x
-        )
+        """Value at a surface's Chern numbers, read through ChernNumbers."""
+        d, k, s, x = ChernNumbers._make(chern)
+        return self.d * d + self.k * k + self.s * s + self.x * x
 
     def specialize_p2(self):
         """As a polynomial in d for (P^2, O(d)): chern numbers (d^2, -3d, 9, 3)."""
@@ -270,6 +270,9 @@ def multiple_point_degree(r, d):
     """Number of r-fold points of the projection of the critical locus over
     the system of plane degree-d curves, via the Bell combination of the
     equivalence and correction terms."""
+    for name, value in (("r", r), ("d", d)):
+        if type(value) is not int:
+            raise TypeError(f"multiple_point_degree: {name} must be an int, got {value!r}")
     if not 1 <= r <= 4:
         raise ValueError(f"multiple_point_degree: r must be in 1..4, got {r}")
     args = []

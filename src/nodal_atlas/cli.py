@@ -203,11 +203,11 @@ def _cmd_cn(args):
 
 def _cmd_bell(args):
     _check_range("--n", args.n, 1, MAX_R)
+    if (args.kind == "partial") != (args.blocks is not None):
+        raise ValueError("`bell partial` needs --blocks, and `bell complete` takes none")
     if args.kind == "complete":
         poly = complete_bell(args.n)
     else:
-        if args.blocks is None:
-            raise ValueError("partial Bell polynomials need --blocks")
         _check_range("--blocks", args.blocks, 1, args.n)
         poly = partial_bell(args.n, args.blocks)
     payload = {
@@ -277,6 +277,8 @@ _SERIES = {
 
 
 def _cmd_series(args):
+    if args.channel is not None and not args.gyz_check:
+        raise ValueError(f"--channel is read by --gyz-check only, not by --{args.which}")
     order = args.order
     _check_range("--order", order, 0, MAX_SERIES_ORDER)
     # the series read from the coefficient table stop where the table does

@@ -116,8 +116,7 @@ def count_multisingular(alpha, chern):
     automorphism order of the type.  Exact rational; integral for geometric
     Chern numbers, which are read through ChernNumbers like node_count's.
     """
-    if type(chern) is not ChernNumbers:
-        chern = ChernNumbers._make(chern)
+    chern = ChernNumbers._make(chern)
     labels = _as_type(alpha)
     # the one-block term, looked up first so that a type outside the table
     # fails before any enumeration

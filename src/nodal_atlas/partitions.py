@@ -85,6 +85,8 @@ def iter_partitions(r):
     each block b + (r,) is built once per walk and shared by every partition
     in which r joins b.
     """
+    if type(r) is not int:
+        raise TypeError(f"iter_partitions: r must be an int, got {r!r}")
     if not 1 <= r <= MAX_R:
         raise ValueError(f"iter_partitions: r must be in 1..{MAX_R}, got {r}")
     return _walk(r)

@@ -30,12 +30,14 @@ so its residual is the x-channel residual, and is computed as that one.
 
 Delta, D G_2 and its powers have integer coefficients, so they are built as
 integer tuples: Delta by Jacobi's identity, D G_2 by one uncached helper,
-its powers and the two logarithms (times lcm(1..T)) once per order T.  The
-channel series, that is the residuals, log B_1 and log B_2, are sums of
-integer numerators over 24 lcm(1..T), with one Fraction per output
-coefficient.  The second route to log B_1 shares none of those caches: it
-is Horner's rule in t, on integer numerators over lcm(1..T).  Results are
-PowerSeries built fresh on every call, so no caller can alter a cached value.
+its powers and the two logarithms (times lcm(1..15)) once, at the table
+extent 15; order T reads their first T + 1 coefficients, which truncation
+leaves exact.  The channel series, that is the residuals, log B_1 and
+log B_2, are sums of integer numerators over 24 lcm(1..15), with one
+Fraction per output coefficient.  The second route to log B_1 shares none
+of that table: it is Horner's rule in t, on integer numerators over
+lcm(1..T).  Results are PowerSeries built fresh on every call, so no caller
+can alter a cached value.
 """
 
 from __future__ import annotations
@@ -49,6 +51,8 @@ from .exact import _as_fraction, format_rational
 from .tables import MAX_I as TABLE_ORDER  # the coefficient table supplies rows 1..MAX_I
 
 CHANNELS = ("d", "k", "s", "x")
+# the one denominator of every channel series, at every order
+_DENOMINATOR = 24 * math.lcm(*range(1, TABLE_ORDER + 1))
 
 
 class PowerSeries:
@@ -177,30 +181,23 @@ def _dg2(order):
     return (0,) + tuple(n * _sigma(n) for n in range(1, order + 1))
 
 
-@lru_cache(maxsize=TABLE_ORDER + 1)
-def _dg2_powers(order):
-    """(t, t^2, ..., t^order) for t = D G_2, each an immutable tuple of
-    integer coefficients through q^order."""
-    t = _dg2(order)
+@lru_cache(maxsize=1)
+def _inputs():
+    """(t, t^2, ..., t^15) for t = D G_2, and lcm(1..15) times log(D G_2/q)
+    and log(Delta D^2 G_2/q^2), as integer tuples through q^15.  The log
+    inputs are integral, so each L_n = m_n / n of series_log divides by n."""
+    t = _dg2(TABLE_ORDER)
     powers = [t]
-    for _ in range(1, order):
-        powers.append(_mul(powers[-1], t, order))
-    return tuple(powers)
-
-
-@lru_cache(maxsize=TABLE_ORDER + 1)
-def _log_numerators(order):
-    """lcm(1..order) times the coefficients of log(D G_2/q) and of
-    log(Delta D^2 G_2/q^2) through q^order, as two integer tuples: the inputs
-    are integral, so each L_n = m_n / n of series_log divides by n only."""
-    den = math.lcm(*range(1, order + 1))
-    dg2_over_q = _dg2(order + 1)[1:]
+    for _ in range(1, TABLE_ORDER):
+        powers.append(_mul(powers[-1], t, TABLE_ORDER))
+    dg2_over_q = _dg2(TABLE_ORDER + 1)[1:]
     d2g2_over_q = [(n + 1) * c for n, c in enumerate(dg2_over_q)]
-    disc_d2g2_over_q2 = _mul(_delta_over_q(order), d2g2_over_q, order)
-    return tuple(
-        tuple(int(den * c) for c in series_log(u).coeffs)
+    disc_d2g2_over_q2 = _mul(_delta_over_q(TABLE_ORDER), d2g2_over_q, TABLE_ORDER)
+    log_dg2, log_disc = (
+        tuple(int(_DENOMINATOR // 24 * c) for c in series_log(u).coeffs)
         for u in (dg2_over_q, disc_d2g2_over_q2)
     )
+    return tuple(powers), log_dg2, log_disc
 
 
 def _check_table(order, forms):
@@ -212,25 +209,18 @@ def _check_table(order, forms):
         raise ValueError(f"need {order} table rows, got {len(forms)}")
 
 
-def _denominator(order):
-    """The common denominator of every channel series through q^order."""
-    return 24 * math.lcm(*range(1, order + 1))
-
-
 def _channel_sum(order, coeffs):
-    """_denominator(order) times sum_{l>=1} (-1)^{l-1} coeffs[l-1] (D G_2)^l / l
+    """_DENOMINATOR times sum_{l>=1} (-1)^{l-1} coeffs[l-1] (D G_2)^l / l
     through q^order, as a list of integers."""
-    powers = _dg2_powers(order)
-    den = _denominator(order)
-    weights = [(-1) ** l * coeffs[l] * (den // (l + 1)) for l in range(order)]
+    powers = _inputs()[0]
+    weights = [(-1) ** l * coeffs[l] * (_DENOMINATOR // (l + 1)) for l in range(order)]
     return [0] + [sum(weights[l] * powers[l][n] for l in range(n))
                   for n in range(1, order + 1)]
 
 
 def _series(order, numerators):
-    """The series with the given numerators over _denominator(order)."""
-    den = _denominator(order)
-    return PowerSeries([Fraction(a, den) for a in numerators], order)
+    """The series with the given numerators over _DENOMINATOR."""
+    return PowerSeries([Fraction(a, _DENOMINATOR) for a in numerators], order)
 
 
 def recover_log_b1(order, forms):
@@ -263,7 +253,7 @@ def recover_log_b2(order, forms):
     """log B_2 through q^order: 1/2 log(D G_2/q) plus the k-channel sum."""
     _check_table(order, forms)
     k_sum = _channel_sum(order, [f.E for f in forms])
-    return _series(order, [a + 12 * b for a, b in zip(k_sum, _log_numerators(order)[0])])
+    return _series(order, [a + 12 * b for a, b in zip(k_sum, _inputs()[1])])
 
 
 def recover_b2(order, forms):
@@ -272,7 +262,7 @@ def recover_b2(order, forms):
 
 def gyz_channel_residual(channel, order, forms):
     """Residual of one Chern-number channel of the log generating identity,
-    summed as integer numerators over _denominator(order).  The d and x
+    summed as integer numerators over _DENOMINATOR.  The d and x
     channels check the table against the quasi-modular data; k is zero and
     s is the x residual by construction (see the module docstring)."""
     _check_table(order, forms)
@@ -280,7 +270,7 @@ def gyz_channel_residual(channel, order, forms):
         raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
     if channel == "k":
         return _series(order, [0] * (order + 1))
-    log_dg2, log_disc = _log_numerators(order)
+    _, log_dg2, log_disc = _inputs()
     if channel == "d":
         d_sum = _channel_sum(order, [f.D for f in forms])
         return _series(order, [c - 12 * a for c, a in zip(d_sum, log_dg2)])

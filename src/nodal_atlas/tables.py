@@ -29,9 +29,12 @@ class NodeLinearForm(namedtuple("NodeLinearForm", "i D E F G")):
         return (-1) ** (self.i - 1) * math.factorial(self.i - 1)
 
     def linear_value(self, chern):
-        """L_i = D d + E k + F s + G x, the row without its sign and factorial.
-        Both records are unpacked: on the node_count path that is faster
-        than namedtuple field reads."""
+        """L_i = D d + E k + F s + G x, the row without its sign and factorial;
+        chern is read through ChernNumbers."""
+        return self._value(ChernNumbers._make(chern))
+
+    def _value(self, chern):
+        """linear_value, unchecked, for node_count's rows; unpacking beats field reads."""
         _, D, E, F, G = self
         d, k, s, x = chern
         return D * d + E * k + F * s + G * x
@@ -118,10 +121,9 @@ def node_count(r, chern):
     """
     if r < 0 or r > MAX_I:
         raise ValueError(f"node_count: r must be in 0..{MAX_I}, got {r}")
-    if type(chern) is not ChernNumbers:
-        chern = ChernNumbers._make(chern)
+    chern = ChernNumbers._make(chern)
     rows = _rows()
-    signed = [(-1) ** (i - 1) * rows[i]["form"].linear_value(chern) for i in range(1, r + 1)]
+    signed = [(-1) ** (i - 1) * rows[i]["form"]._value(chern) for i in range(1, r + 1)]
     counts = [1]
     for m in range(1, r + 1):
         total = sum(map(operator.mul, signed, reversed(counts)))
@@ -148,8 +150,7 @@ def node_count_bruteforce(r, chern):
     """
     if not 0 <= r <= MAX_R:
         raise ValueError(f"node_count_bruteforce: r must be in 0..{MAX_R}, got {r}")
-    if type(chern) is not ChernNumbers:
-        chern = ChernNumbers._make(chern)
+    chern = ChernNumbers._make(chern)
     if r == 0:
         return 1
     values = [a_form(i).evaluate(chern) for i in range(1, r + 1)]

@@ -205,6 +205,18 @@ def test_multiple_point_degrees():
         multiple_point_degree(5, 3)
 
 
+@pytest.mark.parametrize("r, d, name", [
+    (2, 4.0, "d"), (2, Fraction(9, 2), "d"), (2.0, 4, "r"), (True, 4, "r"),
+], ids=["float-d", "fraction-d", "float-r", "bool-r"])
+def test_multiple_point_degree_takes_integers_only(r, d, name, monkeypatch):
+    def refuse(n):
+        raise AssertionError("computed with a non-integer argument")
+
+    monkeypatch.setattr(chow, "q_p2_closed", refuse)
+    with pytest.raises(TypeError, match=rf"multiple_point_degree: {name} must be an int"):
+        multiple_point_degree(r, d)
+
+
 def test_excess_a1a2():
     assert excess_a1a2_p2() == PolyD([144, -192, 60])
     # computed once and shared; an in-place change raises, and the next call

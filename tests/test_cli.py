@@ -313,6 +313,25 @@ def test_qn_refuses_general_with_a_plane_flag_before_any_work(capsys, monkeypatc
             assert err == f"error: --general cannot be combined with {named}\n", flags
 
 
+def test_flags_a_command_would_ignore_are_refused_before_any_work(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("computed with a flag that the command ignores")
+
+    for name in ("eisenstein_g2", "discriminant", "recover_b1", "recover_b2",
+                 "gyz_channel_residual", "complete_bell", "partial_bell"):
+        monkeypatch.setattr(cli, name, refuse)
+    for argv, message in (
+        (("series", "--channel", "d", "--order", "3"), "--channel is read by --gyz-check only, not by --g2"),
+        (("series", "--b1", "--channel", "d"), "--channel is read by --gyz-check only, not by --b1"),
+        (("series", "--delta", "--channel", "x", "--order", "99"),
+         "--channel is read by --gyz-check only, not by --delta"),
+        (("bell", "complete", "--n", "3", "--blocks", "2"),
+         "`bell partial` needs --blocks, and `bell complete` takes none"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv
+
+
 def test_library_bounds_are_checked_by_flag_before_any_work(capsys, monkeypatch):
     from nodal_atlas.bell import MAX_R
     from nodal_atlas.chow import Q_MAX

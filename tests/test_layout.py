@@ -5,8 +5,9 @@ top-level function, must be used by name somewhere else in the package or in
 the benchmark; a test is not enough (oracles live in ``checks.py`` and
 ``tests/``).  No module may import a name it never uses.  Kernel products
 run through one method, block-size signatures are enumerated for one
-caller, no top-level value has a second name, and the CLI reads integers by
-one rule and writes its output through one function.  The checks parse the
+caller, no top-level value has a second name, the package's `__init__.py`
+re-exports nothing, and the CLI reads integers by one rule and writes its
+output through one function.  The checks parse the
 source with ``ast``.
 """
 
@@ -160,6 +161,21 @@ def test_no_second_name_for_a_top_level_value():
                     aliases += [f"{path.name}:{stmt.lineno}:{name} = {value.id}" for name in names]
                 bound |= names
     assert not aliases, f"second names for one value: {aliases}"
+
+
+def test_package_init_is_its_docstring_and_version():
+    # a public name has one import path, the module that defines it, so the
+    # package namespace binds nothing beyond its docstring and __version__
+    def allowed(index, stmt):
+        if isinstance(stmt, ast.Expr):
+            return index == 0 and isinstance(stmt.value, ast.Constant) and isinstance(stmt.value.value, str)
+        return (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Constant)
+                and [ast.unparse(t) for t in stmt.targets] == ["__version__"])
+
+    body = ast.parse((PACKAGE / "__init__.py").read_text()).body
+    extra = [f"line {stmt.lineno}: {ast.unparse(stmt).splitlines()[0]}"
+             for index, stmt in enumerate(body) if not allowed(index, stmt)]
+    assert not extra, f"__init__.py binds more than its docstring and __version__: {extra}"
 
 
 def test_cli_integers_follow_the_asset_cell_rule():

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 from collections import Counter
+from fractions import Fraction
 from functools import lru_cache
 from itertools import islice
 
@@ -270,6 +271,14 @@ def test_enumeration_cap():
     # the bound is checked when the stream is made, before any is drawn
     with pytest.raises(ValueError):
         iter_partitions(13)
+
+
+@pytest.mark.parametrize("r", [2.0, Fraction(2), True], ids=["float", "fraction", "bool"])
+def test_sizes_must_be_ints(r):
+    # 2.0 once walked into blocks such as (1, 2.0)
+    for enumerate_ in (iter_partitions, enumerate_partitions):
+        with pytest.raises(TypeError, match=r"iter_partitions: r must be an int"):
+            enumerate_(r)
 
 
 def test_top_bottom_mobius_consistency():

@@ -104,10 +104,10 @@ def test_series_mul_and_pow():
 
 
 def test_dg2_power_coeff_vs_convolution():
-    # the cached integer powers of D G_2 against a brute-force r-fold
-    # convolution of the coefficient list
+    # the integer powers of D G_2, built once through q^TABLE_ORDER and read
+    # by prefix, against a brute-force r-fold convolution of the coefficient list
     t = [Fraction(0)] + [Fraction(n * s) for n, s in enumerate(SIGMA[:10], start=1)]
-    powers = qseries._dg2_powers(10)
+    powers = qseries._inputs()[0]
     for r in range(1, 6):
         for n in range(r, 11):
             acc = {0: Fraction(1)}
@@ -120,6 +120,21 @@ def test_dg2_power_coeff_vs_convolution():
             want = acc.get(n, Fraction(0))
             assert powers[r - 1][n] == want
     assert powers[2][2] == 0
+
+
+def test_qseries_inputs_are_built_once():
+    # every order reads a prefix of the one table at the extent of the
+    # coefficient table; no order builds inputs of its own
+    qseries._inputs.cache_clear()
+    forms = all_forms()
+    for order in range(TABLE_ORDER + 1):
+        for channel in CHANNELS:
+            gyz_channel_residual(channel, order, forms)
+        recover_b1(order, forms)
+        recover_b2(order, forms)
+    info = qseries._inputs.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert all(len(p) == TABLE_ORDER + 1 for p in qseries._inputs()[0])
 
 
 def test_dg2_low_coefficients():

@@ -1,20 +1,21 @@
 """The package's five records are tuple records with the reprs, immutability,
 equality and hashing of the frozen dataclasses they replaced, and importing
 the package or its CLI loads no `dataclasses` (nor, through it, `inspect`,
-`ast` or `dis`)."""
+`ast` or `dis`); importing the package alone loads none of its modules."""
 
 import os
 import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import nodal_atlas
 from nodal_atlas.checks import CheckResult
-from nodal_atlas.chow import LinearForm
-from nodal_atlas.kazarian import count_multisingular
+from nodal_atlas.chow import LinearForm, q_general
+from nodal_atlas.kazarian import count_multisingular, s_alpha
 from nodal_atlas.tables import (
     ChernNumbers,
     DecompositionReport,
@@ -43,12 +44,13 @@ RECORDS = [
 ]
 
 
-def test_importing_the_package_loads_no_dataclasses():
-    # compared with a snapshot: `site` may import modules before any package code
+def _modules_loaded_by(statement):
+    """The modules a fresh interpreter loads for `statement`: compared with a
+    snapshot, since `site` may import modules before any package code."""
     script = (
         "import sys\n"
         "before = set(sys.modules)\n"
-        "import nodal_atlas, nodal_atlas.cli\n"
+        f"{statement}\n"
         "print(*sorted(set(sys.modules) - before))\n"
     )
     env = dict(os.environ)
@@ -58,9 +60,20 @@ def test_importing_the_package_loads_no_dataclasses():
         [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    added = set(proc.stdout.split())
+    return set(proc.stdout.split())
+
+
+def test_importing_the_package_loads_no_dataclasses():
+    added = _modules_loaded_by("import nodal_atlas, nodal_atlas.cli")
     assert {"nodal_atlas.tables", "nodal_atlas.checks", "nodal_atlas.cli"} <= added
     assert not added & {"dataclasses", "inspect", "ast", "dis"}
+
+
+def test_importing_the_package_loads_none_of_its_modules():
+    # library code imports each name from its module; the package binds none
+    added = _modules_loaded_by("import nodal_atlas")
+    assert "nodal_atlas" in added
+    assert not {name for name in added if name.startswith("nodal_atlas.")}
 
 
 @pytest.mark.parametrize("record, text", RECORDS, ids=[text.split("(")[0] for _, text in RECORDS])
@@ -119,3 +132,22 @@ def test_every_build_and_count_reads_chern_numbers_through_the_check():
     assert node_count(2, (16, -12, 9, 3)) == node_count_bruteforce(2, [16, -12, 9, 3]) == 225
     assert count_multisingular("A1", (16, -12, 9, 3)) == 27
     assert node_count(1, (1, 0, 0, 0)) == node_count_bruteforce(1, (1, 0, 0, 0)) == 3
+
+
+def test_every_form_evaluator_reads_chern_numbers_through_the_check():
+    # the public evaluators take what the counts take, a ChernNumbers or any
+    # 4-sequence of ints, and refuse a float as the counts do
+    evaluators = (a_form(2).evaluate, a_form(2).linear_value, a_form(2).linear_form().evaluate,
+                  q_general(2).evaluate, s_alpha("A1").evaluate)
+    chern = ChernNumbers(16, -12, 9, 3)
+    for evaluate in evaluators:
+        with pytest.raises(TypeError, match=r"ChernNumbers\.d must be an int, got 16\.0"):
+            evaluate((16.0, -12, 9, 3))
+        assert evaluate((16, -12, 9, 3)) == evaluate(chern)
+        assert type(evaluate(chern)) in (int, Fraction)
+    with pytest.raises(TypeError):
+        q_general(2).evaluate(SimpleNamespace(d=16.0, k=-12, s=9, x=3))
+    assert (a_form(2).evaluate(chern), a_form(2).linear_value(chern)) == (-279, 279)
+    assert s_alpha("A1").evaluate((16, -12, 9, 3)) == 27
+    # a record is read as it is
+    assert ChernNumbers._make(chern) is chern
