@@ -321,7 +321,8 @@ def test_flags_a_command_would_ignore_are_refused_before_any_work(capsys, monkey
                  "gyz_channel_residual", "complete_bell", "partial_bell"):
         monkeypatch.setattr(cli, name, refuse)
     for argv, message in (
-        (("series", "--channel", "d", "--order", "3"), "--channel is read by --gyz-check only, not by --g2"),
+        (("series", "--channel", "d", "--order", "3"),
+         "--channel is read by --gyz-check only, not by --g2"),
         (("series", "--b1", "--channel", "d"), "--channel is read by --gyz-check only, not by --b1"),
         (("series", "--delta", "--channel", "x", "--order", "99"),
          "--channel is read by --gyz-check only, not by --delta"),

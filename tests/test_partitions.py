@@ -275,7 +275,7 @@ def test_enumeration_cap():
 
 @pytest.mark.parametrize("r", [2.0, Fraction(2), True], ids=["float", "fraction", "bool"])
 def test_sizes_must_be_ints(r):
-    # 2.0 once walked into blocks such as (1, 2.0)
+    # a size that is not an int would walk into blocks such as (1, 2.0)
     for enumerate_ in (iter_partitions, enumerate_partitions):
         with pytest.raises(TypeError, match=r"iter_partitions: r must be an int"):
             enumerate_(r)
