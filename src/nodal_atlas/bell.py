@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .exact import SparsePoly
+from .exact import SparsePoly, require_ints
 from .partitions import integer_partition_signatures, signature_count
 
 MAX_R = 15
@@ -54,6 +54,7 @@ def complete_bell(r):
 def partial_bell(n, l):
     """Partial Bell polynomial: the part of complete_bell(n) with l blocks,
     sliced from the cached complete polynomial."""
+    require_ints("partial_bell", n=n, l=l)
     _check_r(n)
     if not 1 <= l <= n:
         raise ValueError(f"partial_bell: need 1 <= l <= n, got l={l}, n={n}")

@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bell import complete_bell_sequence
-from .exact import PolyD, SparsePoly, binomial, format_rational
+from .exact import PolyD, SparsePoly, binomial, format_rational, require_ints
 
 Q_MAX = 8  # also the H cap: no extraction reads a power of H above Q_MAX
 
@@ -270,9 +270,7 @@ def multiple_point_degree(r, d):
     """Number of r-fold points of the projection of the critical locus over
     the system of plane degree-d curves, via the Bell combination of the
     equivalence and correction terms."""
-    for name, value in (("r", r), ("d", d)):
-        if type(value) is not int:
-            raise TypeError(f"multiple_point_degree: {name} must be an int, got {value!r}")
+    require_ints("multiple_point_degree", r=r, d=d)
     if not 1 <= r <= 4:
         raise ValueError(f"multiple_point_degree: r must be in 1..4, got {r}")
     args = []

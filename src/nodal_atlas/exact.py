@@ -35,6 +35,13 @@ def binomial(n, k):
     return math.comb(n, k)
 
 
+def require_ints(caller, **sizes):
+    """Refuse a size that is not an int (a float, Fraction or bool), naming it."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise TypeError(f"{caller}: {name} must be an int, got {value!r}")
+
+
 def _as_fraction(x):
     if isinstance(x, Fraction):
         return x

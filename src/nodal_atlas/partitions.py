@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 
+from .exact import require_ints
+
 # Largest ground set enumerated: B_12 = 4,213,597 partitions.
 MAX_R = 12
 
@@ -85,8 +87,7 @@ def iter_partitions(r):
     each block b + (r,) is built once per walk and shared by every partition
     in which r joins b.
     """
-    if type(r) is not int:
-        raise TypeError(f"iter_partitions: r must be an int, got {r!r}")
+    require_ints("iter_partitions", r=r)
     if not 1 <= r <= MAX_R:
         raise ValueError(f"iter_partitions: r must be in 1..{MAX_R}, got {r}")
     return _walk(r)

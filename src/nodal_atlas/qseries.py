@@ -29,15 +29,15 @@ log B_1 through the combination F_l - G_l, and the channel sum is linear,
 so its residual is the x-channel residual, and is computed as that one.
 
 Delta, D G_2 and its powers have integer coefficients, so they are built as
-integer tuples: Delta by Jacobi's identity, D G_2 by one uncached helper,
-its powers and the two logarithms (times lcm(1..15)) once, at the table
-extent 15; order T reads their first T + 1 coefficients, which truncation
-leaves exact.  The channel series, that is the residuals, log B_1 and
-log B_2, are sums of integer numerators over 24 lcm(1..15), with one
-Fraction per output coefficient.  The second route to log B_1 shares none
-of that table: it is Horner's rule in t, on integer numerators over
-lcm(1..T).  Results are PowerSeries built fresh on every call, so no caller
-can alter a cached value.
+integer tuples: Delta by Jacobi's identity, D G_2 by one uncached helper.
+Each series is built once, at the table extent 15, and order T reads its
+first T + 1 coefficients, which truncation leaves exact: the powers of
+D G_2 and the two logarithms once per process, the column sums of the
+channel series (the d and x residuals, log B_1, log B_2) as integer
+numerators over 24 lcm(1..15), and B_1 and B_2, once per value in bounded
+caches.  The second route to log B_1 shares none of that: it is Horner's
+rule in t, on integer numerators over lcm(1..T).  Results are PowerSeries
+built fresh on every call, so no caller can alter a cached value.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .bell import complete_bell_sequence
-from .exact import _as_fraction, format_rational
+from .exact import _as_fraction, format_rational, require_ints
 from .tables import MAX_I as TABLE_ORDER  # the coefficient table supplies rows 1..MAX_I
 
 CHANNELS = ("d", "k", "s", "x")
@@ -200,41 +200,54 @@ def _inputs():
     return tuple(powers), log_dg2, log_disc
 
 
-def _check_table(order, forms):
-    if order > TABLE_ORDER:
-        raise ValueError(
-            f"truncation order {order} exceeds the coefficient table extent {TABLE_ORDER}"
-        )
-    if len(forms) < order:
-        raise ValueError(f"need {order} table rows, got {len(forms)}")
+def _check_table(caller, order, forms):
+    require_ints(caller, order=order)
+    if order > min(len(forms), TABLE_ORDER):
+        raise ValueError(f"truncation order {order} exceeds the coefficient table "
+                         f"extent {TABLE_ORDER} or the {len(forms)} rows given")
 
 
-def _channel_sum(order, coeffs):
-    """_DENOMINATOR times sum_{l>=1} (-1)^{l-1} coeffs[l-1] (D G_2)^l / l
-    through q^order, as a list of integers."""
+def _column(forms, cell):
+    """One column of the table through its extent, as a cache key; "F-G" is log B_1's."""
+    return tuple(f.F - f.G if cell == "F-G" else getattr(f, cell) for f in forms[:TABLE_ORDER])
+
+
+@lru_cache(maxsize=16)  # a table has four summed columns: the last four tables
+def _channel_sum(column):
+    """_DENOMINATOR times sum_{l>=1} (-1)^{l-1} column[l-1] (D G_2)^l / l
+    through q^len(column), as a tuple of integers, once per value."""
     powers = _inputs()[0]
-    weights = [(-1) ** l * coeffs[l] * (_DENOMINATOR // (l + 1)) for l in range(order)]
-    return [0] + [sum(weights[l] * powers[l][n] for l in range(n))
-                  for n in range(1, order + 1)]
+    weights = [(-1) ** l * c * (_DENOMINATOR // (l + 1)) for l, c in enumerate(column)]
+    return tuple(sum(weights[l] * powers[l][n] for l in range(n)) for n in range(len(column) + 1))
 
 
-def _series(order, numerators):
-    """The series with the given numerators over _DENOMINATOR."""
-    return PowerSeries([Fraction(a, _DENOMINATOR) for a in numerators], order)
+def _channel_series(order, column, dg2=0, disc=0):
+    """The channel sum of column plus dg2/24 log(D G_2/q) and
+    disc/24 log(Delta D^2 G_2/q^2), through q^order, as a fresh PowerSeries."""
+    _, log_dg2, log_disc = _inputs()
+    sums = _channel_sum(column)
+    return PowerSeries([Fraction(sums[n] + dg2 * log_dg2[n] + disc * log_disc[n], _DENOMINATOR)
+                        for n in range(order + 1)], order)
+
+
+@lru_cache(maxsize=8)  # B_1 and B_2 of the last four tables
+def _channel_exp(column, dg2=0):
+    """The coefficients of exp(`_channel_series`) through q^len(column), once per value."""
+    return tuple(series_exp(_channel_series(len(column), column, dg2)).coeffs)
 
 
 def recover_log_b1(order, forms):
     """log B_1 through q^order: c_n = sum_r y_r(n) (-1)^{r-1} (F_r - G_r)/r,
     with y_r(n) the q^n coefficient of (D G_2)^r."""
-    _check_table(order, forms)
-    return _series(order, _channel_sum(order, [f.F - f.G for f in forms]))
+    _check_table("recover_log_b1", order, forms)
+    return _channel_series(order, _column(forms, "F-G"))
 
 
 def recover_log_b1_direct(order, forms):
     """Same series by Horner's rule in t = D G_2 on the integer numerators
     lcm(1..order) (-1)^{l-1} (F_l - G_l) / l of its t^l coefficients; an
     independent code path that reads none of recover_log_b1's caches."""
-    _check_table(order, forms)
+    _check_table("recover_log_b1_direct", order, forms)
     t = _dg2(order)
     den = math.lcm(*range(1, order + 1))
     acc = (0,) * (order + 1)
@@ -246,18 +259,19 @@ def recover_log_b1_direct(order, forms):
 
 def recover_b1(order, forms):
     """B_1 itself: the series exponential of log B_1; b_0 = 1."""
-    return series_exp(recover_log_b1(order, forms))
+    _check_table("recover_b1", order, forms)
+    return PowerSeries(_channel_exp(_column(forms, "F-G")), order)
 
 
 def recover_log_b2(order, forms):
     """log B_2 through q^order: 1/2 log(D G_2/q) plus the k-channel sum."""
-    _check_table(order, forms)
-    k_sum = _channel_sum(order, [f.E for f in forms])
-    return _series(order, [a + 12 * b for a, b in zip(k_sum, _inputs()[1])])
+    _check_table("recover_log_b2", order, forms)
+    return _channel_series(order, _column(forms, "E"), 12)
 
 
 def recover_b2(order, forms):
-    return series_exp(recover_log_b2(order, forms))
+    _check_table("recover_b2", order, forms)
+    return PowerSeries(_channel_exp(_column(forms, "E"), 12), order)
 
 
 def gyz_channel_residual(channel, order, forms):
@@ -265,14 +279,11 @@ def gyz_channel_residual(channel, order, forms):
     summed as integer numerators over _DENOMINATOR.  The d and x
     channels check the table against the quasi-modular data; k is zero and
     s is the x residual by construction (see the module docstring)."""
-    _check_table(order, forms)
+    _check_table("gyz_channel_residual", order, forms)
     if channel not in CHANNELS:
         raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
     if channel == "k":
-        return _series(order, [0] * (order + 1))
-    _, log_dg2, log_disc = _inputs()
+        return PowerSeries([], order)
     if channel == "d":
-        d_sum = _channel_sum(order, [f.D for f in forms])
-        return _series(order, [c - 12 * a for c, a in zip(d_sum, log_dg2)])
-    x_sum = _channel_sum(order, [f.G for f in forms])
-    return _series(order, [c + b - 2 * a for c, a, b in zip(x_sum, log_dg2, log_disc)])
+        return _channel_series(order, _column(forms, "D"), -12)
+    return _channel_series(order, _column(forms, "G"), -2, 1)

@@ -14,7 +14,7 @@ from functools import lru_cache
 
 from . import assets, chow, kazarian
 from .chow import ChernNumbers
-from .exact import SparsePoly
+from .exact import SparsePoly, require_ints
 from .partitions import MAX_R, iter_partitions
 
 MAX_I = 15
@@ -81,6 +81,7 @@ def _rows():
 
 
 def a_form(i):
+    require_ints("a_form", i=i)
     if i < 1:
         raise ValueError(f"a_form: index must be >= 1, got {i}")
     if i > MAX_I:
@@ -89,7 +90,7 @@ def a_form(i):
 
 
 def all_forms():
-    return [a_form(i) for i in range(1, MAX_I + 1)]
+    return [row["form"] for row in _rows().values()]
 
 
 def tilde_consistency(i):
@@ -106,21 +107,21 @@ def tilde_consistency(i):
 TILDE_EXEMPT_CELLS = {(14, 3)}  # (row, column index of x): documented sign typo
 
 
-def node_count(r, chern):
-    """Number of r-nodal curves in the system through the expected number of
-    general points: N_r = Y_r(a_1, ..., a_r)/r!, the complete Bell polynomial
-    in a_1..a_r over r!.
+def node_counts(r, chern):
+    """[N_0, ..., N_r], N_m = Y_m(a_1, ..., a_m)/m! the number of m-nodal
+    curves in the system through the expected number of general points.
 
-    With a_i = (-1)^{i-1} (i-1)! L_i, the generating function of the N_r is
+    With a_i = (-1)^{i-1} (i-1)! L_i, the generating function of the N_m is
     exp(sum_i (-1)^{i-1} L_i t^i / i), so Newton's identity
     m N_m = sum_{i=1}^{m} (-1)^{i-1} L_i N_{m-i}, N_0 = 1, gives them in one
     pass, each step one exact division by m.  Off the adjunction/Noether
-    lattice a step may not divide; the pass then goes on in Fractions, and a
-    non-integral N_r, which signals corrupted table data or numbers that are
-    no surface's, raises ArithmeticError; chern is read through ChernNumbers.
+    lattice a step may not divide: the pass goes on in Fractions, and N_m is a
+    Fraction exactly where it is not integral, which signals corrupted table
+    data or numbers that are no surface's.  chern is read through ChernNumbers.
     """
+    require_ints("node_counts", r=r)
     if r < 0 or r > MAX_I:
-        raise ValueError(f"node_count: r must be in 0..{MAX_I}, got {r}")
+        raise ValueError(f"node_counts: r must be in 0..{MAX_I}, got {r}")
     chern = ChernNumbers._make(chern)
     rows = _rows()
     signed = [(-1) ** (i - 1) * rows[i]["form"]._value(chern) for i in range(1, r + 1)]
@@ -131,9 +132,16 @@ def node_count(r, chern):
         # int whenever it is integral and a Fraction only when it is not
         quotient, remainder = divmod(total, m)
         counts.append(Fraction(total, m) if remainder else quotient)
-    if isinstance(counts[r], Fraction):
-        raise ArithmeticError(f"node count is not integral at r={r}, chern={chern}: {counts[r]}")
-    return counts[r]
+    return counts
+
+
+def node_count(r, chern):
+    """N_r, the last of `node_counts`; ArithmeticError where it is not integral."""
+    count = node_counts(r, chern)[-1]
+    if isinstance(count, Fraction):
+        chern = ChernNumbers._make(chern)
+        raise ArithmeticError(f"node count is not integral at r={r}, chern={chern}: {count}")
+    return count
 
 
 def node_count_bruteforce(r, chern):

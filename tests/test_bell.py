@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from nodal_atlas import bell
 from nodal_atlas.bell import (
     SparsePoly,
     complete_bell,
@@ -85,6 +86,21 @@ def test_partial_bell_bad_blocks():
         partial_bell(4, 5)
     with pytest.raises(ValueError):
         complete_bell(16)
+
+
+@pytest.mark.parametrize("n, l, name", [
+    (3, 2.0, "l"), (3.0, 2, "n"), (3, Fraction(2), "l"), (Fraction(3), 2, "n"),
+    (3, True, "l"), (True, 1, "n"),
+], ids=["float-l", "float-n", "fraction-l", "fraction-n", "bool-l", "bool-n"])
+def test_partial_bell_takes_integer_sizes_only(n, l, name, monkeypatch):
+    # partial_bell(3, 2.0) used to return the two-block slice; a size that is
+    # not an int is refused before the complete polynomial is read
+    def refuse(n):
+        raise AssertionError("read the complete polynomial with a non-integer size")
+
+    monkeypatch.setattr(bell, "complete_bell", refuse)
+    with pytest.raises(TypeError, match=rf"partial_bell: {name} must be an int"):
+        partial_bell(n, l)
 
 
 def test_coefficients_count_set_partitions():

@@ -6,8 +6,8 @@ the benchmark; a test is not enough (oracles live in ``checks.py`` and
 ``tests/``).  No module may import a name it never uses.  Kernel products
 run through one method, block-size signatures are enumerated for one
 caller, no top-level value has a second name, the package's `__init__.py`
-re-exports nothing, and the CLI reads integers by one rule and writes its
-output through one function.  The checks parse the source with ``ast``.
+re-exports nothing, no cache can grow without bound, and the CLI reads
+integers by one rule and writes its output through one function.  The checks parse the source with ``ast``.
 """
 
 import ast
@@ -175,6 +175,40 @@ def test_package_init_is_its_docstring_and_version():
     extra = [f"line {stmt.lineno}: {ast.unparse(stmt).splitlines()[0]}"
              for index, stmt in enumerate(body) if not allowed(index, stmt)]
     assert not extra, f"__init__.py binds more than its docstring and __version__: {extra}"
+
+
+# parameters that take a bounded size (an index, a node count, a series
+# order), so that a cache keyed by them alone holds a bounded number of entries
+SIZE_PARAMETERS = {"n", "r", "order"}
+
+
+def test_caches_are_bounded_unless_keyed_by_sizes():
+    # a cache keyed by a caller's value (a table, a column, a series) grows
+    # with every distinct value; it needs an integer maxsize.  A bare
+    # lru_cache, lru_cache(maxsize=None) and functools.cache are unbounded
+    def maxsize(decorator):
+        if not isinstance(decorator, ast.Call):
+            return None
+        args = [k.value for k in decorator.keywords if k.arg == "maxsize"] + decorator.args[:1]
+        return args[0].value if args and isinstance(args[0], ast.Constant) else None
+
+    loose = []
+    for path in MODULES:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            for decorator in node.decorator_list:
+                name = ast.unparse(getattr(decorator, "func", decorator)).split(".")[-1]
+                if name not in ("lru_cache", "cache"):
+                    continue
+                size = maxsize(decorator) if name == "lru_cache" else None
+                if type(size) is int:
+                    continue
+                args = node.args
+                params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if args.vararg or args.kwarg or not set(params) <= SIZE_PARAMETERS:
+                    loose.append(f"{path.name}:{node.lineno}:{node.name}{tuple(params)}")
+    assert not loose, f"unbounded caches keyed by more than sizes: {loose}"
 
 
 def test_cli_integers_follow_the_asset_cell_rule():

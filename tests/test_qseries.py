@@ -185,34 +185,151 @@ def _dense_channel_sum(t, coeffs):
     return acc
 
 
+def _composed(order, forms):
+    """Every channel residual, log B_1 and log B_2 of the table `forms`
+    through q^order, by the Fraction series composition the integer
+    numerators replaced; it reads none of the module's caches."""
+    D, E, F, G = ([getattr(f, c) for f in forms] for c in "DEFG")
+    t = PowerSeries([0] + [n * SIGMA[n - 1] for n in range(1, order + 1)], order)
+    log_dg2 = series_log(PowerSeries([(n + 1) * SIGMA[n] for n in range(order + 1)]))
+    d2g2_over_q = PowerSeries([(n + 1) ** 2 * SIGMA[n] for n in range(order + 1)])
+    delta_over_q = PowerSeries(discriminant(order + 1).coeffs[1:])
+    log_disc = series_log(_mul(delta_over_q, d2g2_over_q))
+    modular = _add(_mul(log_dg2, Fraction(-1, 12)), _mul(log_disc, Fraction(1, 24)))
+    log_b1 = _dense_channel_sum(t, [f - g for f, g in zip(F, G)])
+    log_b2 = _add(_dense_channel_sum(t, E), _mul(log_dg2, Fraction(1, 2)))
+    return {
+        "d": _add(_dense_channel_sum(t, D), _mul(log_dg2, Fraction(-1, 2))),
+        "k": _add(_dense_channel_sum(t, E), _mul(log_dg2, Fraction(1, 2)), _mul(log_b2, -1)),
+        "s": _add(_dense_channel_sum(t, F), modular, _mul(log_b1, -1)),
+        "x": _add(_dense_channel_sum(t, G), modular),
+        "log_b1": log_b1,
+        "log_b2": log_b2,
+    }
+
+
 def test_integer_residuals_equal_the_series_composition():
     # every channel residual, both recovered logs and the Horner route to
     # log B_1 against the Fraction series composition the integer numerators
     # replaced, at every order
     forms = all_forms()
-    D, E, F, G = ([getattr(f, c) for f in forms] for c in "DEFG")
     for order in range(TABLE_ORDER + 1):
-        t = PowerSeries([0] + [n * SIGMA[n - 1] for n in range(1, order + 1)], order)
-        log_dg2 = series_log(PowerSeries([(n + 1) * SIGMA[n] for n in range(order + 1)]))
-        d2g2_over_q = PowerSeries([(n + 1) ** 2 * SIGMA[n] for n in range(order + 1)])
-        delta_over_q = PowerSeries(discriminant(order + 1).coeffs[1:])
-        log_disc = series_log(_mul(delta_over_q, d2g2_over_q))
-        modular = _add(_mul(log_dg2, Fraction(-1, 12)), _mul(log_disc, Fraction(1, 24)))
-        log_b1 = _dense_channel_sum(t, [f - g for f, g in zip(F, G)])
-        log_b2 = _add(_dense_channel_sum(t, E), _mul(log_dg2, Fraction(1, 2)))
-        want = {
-            "d": _add(_dense_channel_sum(t, D), _mul(log_dg2, Fraction(-1, 2))),
-            "k": _add(_dense_channel_sum(t, E), _mul(log_dg2, Fraction(1, 2)), _mul(log_b2, -1)),
-            "s": _add(_dense_channel_sum(t, F), modular, _mul(log_b1, -1)),
-            "x": _add(_dense_channel_sum(t, G), modular),
-        }
+        want = _composed(order, forms)
         for channel in CHANNELS:
             got = gyz_channel_residual(channel, order, forms)
             assert (got.order, got.coeffs) == (order, want[channel].coeffs), (channel, order)
-        for got, series in ((recover_log_b1(order, forms), log_b1),
-                            (recover_log_b1_direct(order, forms), log_b1),
-                            (recover_log_b2(order, forms), log_b2)):
+        for got, series in ((recover_log_b1(order, forms), want["log_b1"]),
+                            (recover_log_b1_direct(order, forms), want["log_b1"]),
+                            (recover_log_b2(order, forms), want["log_b2"])):
             assert (got.order, got.coeffs) == (order, series.coeffs), order
+
+
+# every series read from the coefficient table, by name
+READERS = {
+    "d": lambda order, forms: gyz_channel_residual("d", order, forms),
+    "x": lambda order, forms: gyz_channel_residual("x", order, forms),
+    "log_b1": recover_log_b1,
+    "log_b2": recover_log_b2,
+    "b1": recover_b1,
+    "b2": recover_b2,
+}
+
+
+def _read_all(forms):
+    return {name: [read(order, forms).coeffs for order in range(TABLE_ORDER + 1)]
+            for name, read in READERS.items()}
+
+
+def _composed_reads(forms):
+    want = _composed(TABLE_ORDER, forms)
+    want["b1"], want["b2"] = series_exp(want["log_b1"]), series_exp(want["log_b2"])
+    return {name: want[name].coeffs for name in READERS}
+
+
+def test_series_caches_key_on_the_table_values():
+    # one cell of row l changed in a copy of the table: every series read
+    # from the copy is the composition of the copy, at every order, so it
+    # moves exactly where the composition moves, and never below q^l
+    shipped = all_forms()
+    before, want_shipped = _read_all(shipped), _composed_reads(shipped)
+    for l, cell in ((1, "G"), (9, "D"), (9, "E"), (15, "F")):
+        changed = list(shipped)
+        changed[l - 1] = shipped[l - 1]._replace(**{cell: getattr(shipped[l - 1], cell) + 1})
+        got, want = _read_all(changed), _composed_reads(changed)
+        moved_somewhere = False
+        for name in READERS:
+            for order in range(TABLE_ORDER + 1):
+                assert got[name][order] == want[name][: order + 1], (l, cell, name, order)
+                moved = want[name][: order + 1] != want_shipped[name][: order + 1]
+                assert (got[name][order] != before[name][order]) == moved, (l, cell, name, order)
+                assert not (moved and order < l), (l, cell, name, order)
+                moved_somewhere |= moved
+        assert moved_somewhere, (l, cell)
+        assert _read_all(shipped) == before
+
+
+def test_series_caches_stay_bounded_and_hand_out_fresh_series():
+    shipped = all_forms()
+    caches = (qseries._channel_sum, qseries._channel_exp)
+    distinct = max(cache.cache_parameters()["maxsize"] for cache in caches) + 2
+    misses = [cache.cache_info().misses for cache in caches]
+    for j in range(1, distinct + 1):
+        changed = [shipped[0]._replace(D=shipped[0].D + j, F=shipped[0].F + j)] + shipped[1:]
+        gyz_channel_residual("d", TABLE_ORDER, changed)
+        recover_b1(TABLE_ORDER, changed)
+    for cache, before in zip(caches, misses):
+        info = cache.cache_info()
+        assert info.misses - before >= distinct  # each new table is built once
+        assert info.currsize <= info.maxsize
+    # a series changed by its caller, or the caller's table changed after a
+    # read, leaves every later read as it was
+    table = list(shipped)
+    for read in READERS.values():
+        first = read(TABLE_ORDER, table)
+        want = list(first.coeffs)
+        first.coeffs[1] = Fraction(7)
+        first.coeffs.append(Fraction(8))
+        assert read(TABLE_ORDER, table).coeffs == want
+    log_b1 = recover_log_b1(TABLE_ORDER, table)
+    table[0] = table[0]._replace(F=table[0].F + 1)
+    assert recover_log_b1(TABLE_ORDER, table) != log_b1
+    assert recover_log_b1(TABLE_ORDER, shipped) == log_b1
+
+
+def test_the_horner_route_reads_no_table_cache(monkeypatch):
+    # check's "two code paths" line and the benchmark's B_1 verifier compare
+    # against recover_log_b1_direct, so it must stand without the tables
+    forms = all_forms()
+    want = [recover_log_b1(order, forms) for order in range(TABLE_ORDER + 1)]
+
+    def refuse(*args):
+        raise AssertionError("the Horner route read a table cache")
+
+    for name in ("_inputs", "_channel_sum", "_channel_exp"):
+        monkeypatch.setattr(qseries, name, refuse)
+    with pytest.raises(AssertionError):
+        recover_log_b1(TABLE_ORDER, forms)
+    for order in range(TABLE_ORDER + 1):
+        got = recover_log_b1_direct(order, forms)
+        assert (got.order, got.coeffs) == (order, want[order].coeffs)
+
+
+@pytest.mark.parametrize("order", [3.0, Fraction(3), True], ids=["float", "fraction", "bool"])
+def test_orders_must_be_ints(order, monkeypatch):
+    # gyz_channel_residual("d", 3.0, forms) and recover_b1(3.0, forms) used to
+    # fail deep inside; order=True read order 1.  Both are refused before
+    # any table or series is read
+    def refuse(*args):
+        raise AssertionError("read a series with a non-integer order")
+
+    for name in ("_inputs", "_channel_sum", "_channel_exp", "_dg2"):
+        monkeypatch.setattr(qseries, name, refuse)
+    forms = all_forms()
+    with pytest.raises(TypeError, match=r"gyz_channel_residual: order must be an int"):
+        gyz_channel_residual("d", order, forms)
+    for read in (recover_b1, recover_b2, recover_log_b1, recover_log_b2, recover_log_b1_direct):
+        with pytest.raises(TypeError, match=rf"{read.__name__}: order must be an int"):
+            read(order, forms)
 
 
 def test_channel_validation():

@@ -25,6 +25,7 @@ from nodal_atlas.tables import (
     all_forms,
     node_count,
     node_count_bruteforce,
+    node_counts,
     node_polynomial,
     ratio_table,
     severi_degree_p2,
@@ -260,9 +261,12 @@ def test_newton_route_equals_bell_recurrence_over_r_factorial():
     assert integral and fractional and recovered
 
 
-def test_newton_route_matches_signature_oracle_on_huge_chern_numbers():
+def _huge_chern_numbers():
+    """Four seeded surfaces' worth of Chern numbers near 10^30, on the
+    adjunction/Noether lattice (d + k even, s + x divisible by 12)."""
     rng = random.Random(2011)
     big = 10**30
+    out = []
     for _ in range(4):
         d = rng.randint(big, 9 * big)
         k = rng.randint(-9 * big, 9 * big)
@@ -270,8 +274,54 @@ def test_newton_route_matches_signature_oracle_on_huge_chern_numbers():
         s = rng.randint(-9 * big, 9 * big)
         x = rng.randint(-9 * big, 9 * big)
         x -= (s + x) % 12
-        chern = ChernNumbers(d, k, s, x)
+        out.append(ChernNumbers(d, k, s, x))
+    return out
+
+
+def test_newton_route_matches_signature_oracle_on_huge_chern_numbers():
+    for chern in _huge_chern_numbers():
         assert node_count(MAX_I, chern) == node_count_by_signatures(MAX_I, chern)
+
+
+def test_node_counts_are_every_node_count_of_one_pass():
+    surfaces = [ChernNumbers.p2(d) for d in range(1, 11)] + list(checks.ORACLE_SURFACES)
+    for chern in surfaces + _huge_chern_numbers():
+        for r in range(0, MAX_I + 1):
+            counts = node_counts(r, chern)
+            assert counts == [node_count(m, chern) for m in range(r + 1)], (chern, r)
+            assert all(type(n) is int for n in counts)
+
+
+def test_node_counts_are_fractions_where_node_count_raises():
+    # off the adjunction/Noether lattice N_3..N_9 are not integral; the pass
+    # carries them as exact Fractions, Y_m/m! of the binomial recurrence
+    chern = ChernNumbers(292, 48, -8, 55)
+    values = [form.evaluate(chern) for form in all_forms()]
+    counts = node_counts(9, chern)
+    assert [m for m, n in enumerate(counts) if type(n) is Fraction] == list(range(3, 10))
+    assert all(type(n) is int for n in counts[:3])
+    for m, n in enumerate(counts):
+        assert n == Fraction(complete_bell_sequence(values[:m])[m], math.factorial(m))
+        if type(n) is Fraction:
+            with pytest.raises(ArithmeticError):
+                node_count(m, chern)
+        else:
+            assert node_count(m, chern) == n
+
+
+@pytest.mark.parametrize("size", [2.0, Fraction(2), True], ids=["float", "fraction", "bool"])
+def test_row_and_count_sizes_must_be_ints(size, monkeypatch):
+    # a_form(2.0) used to return row 2 and node_count(True, c) N_1; every
+    # size is refused before the table is read
+    def refuse():
+        raise AssertionError("read the table with a non-integer size")
+
+    monkeypatch.setattr(tables, "_rows", refuse)
+    with pytest.raises(TypeError, match=r"a_form: i must be an int"):
+        a_form(size)
+    for count in (node_count, node_counts):
+        with pytest.raises(TypeError, match=r"node_counts: r must be an int"):
+            count(size, ChernNumbers.p2(4))
 
 
 def test_node_count_rejects_non_integral_total():
@@ -319,12 +369,14 @@ def test_a_second_check_finds_every_signature_sum():
 
 
 def test_route_check_runs_the_production_count_on_every_call(monkeypatch):
+    # one Newton pass per surface gives every r, and a second check runs them
+    # again: a memo of the production route would call node_counts fewer times
     calls = []
-    real = checks.node_count
-    monkeypatch.setattr(checks, "node_count", lambda r, chern: calls.append(r) or real(r, chern))
+    real = checks.node_counts
+    monkeypatch.setattr(checks, "node_counts", lambda r, chern: calls.append(r) or real(r, chern))
     for _ in range(2):
         assert checks.check_node_count_routes() == (True, "")
-    assert len(calls) == 2 * (10 + len(checks.ORACLE_SURFACES)) * (MAX_I + 1)
+    assert calls == [MAX_I] * 2 * (10 + len(checks.ORACLE_SURFACES))
 
 
 def test_route_check_evaluates_each_row_once_per_surface(monkeypatch):
