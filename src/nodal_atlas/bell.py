@@ -47,6 +47,7 @@ def complete_bell(r):
     The monomial x_1^{j_1}...x_r^{j_r} carries the number of set partitions
     of an r-set with j_i blocks of size i.
     """
+    require_ints("complete_bell", r=r)
     _check_r(r)
     return _signature_poly(r)
 

@@ -19,7 +19,7 @@ from operator import mul
 
 from . import chow, kazarian
 from .bell import complete_bell
-from .exact import PolyD, _as_fraction
+from .exact import PolyD, _as_fraction, require_ints
 from .qseries import TABLE_ORDER, gyz_channel_residual, recover_b1, recover_log_b1, recover_log_b1_direct
 from .tables import (
     MAX_I,
@@ -103,6 +103,7 @@ def complete_bell_by_signatures(r, values):
     input is evaluated in Fractions.  The sum is memoised on the values
     themselves, so no reload of the table data can make it stale; the memo
     holds 256 sums, and one `check` asks for 211, so a second finds them all."""
+    require_ints("complete_bell_by_signatures", r=r)
     xs = tuple(values[:r])
     ints = all(isinstance(v, int) for v in xs)
     return _signature_sum(r, xs if ints else tuple(map(_as_fraction, xs)), ints)
@@ -121,6 +122,7 @@ def _signature_sum(r, xs, ints):
 def node_count_by_signatures(r, chern):
     """Oracle for tables.node_count through the signature sum; the same
     ArithmeticError on a non-integral count."""
+    require_ints("node_count_by_signatures", r=r)
     total = complete_bell_by_signatures(r, [a_form(i).evaluate(chern) for i in range(1, r + 1)])
     quotient, remainder = divmod(total, math.factorial(r))
     if remainder:

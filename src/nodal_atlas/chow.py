@@ -143,6 +143,7 @@ def pushforward_to_Y(c, n):
 
     The dimension count leaves only L^2 -> d, LK -> k, K^2 -> s, x -> x.
     """
+    require_ints("pushforward_to_Y", n=n)
     if n > Q_MAX:
         raise ValueError(f"H power {n} exceeds the truncation cap {Q_MAX}")
     return LinearForm(
@@ -168,6 +169,7 @@ def _class_table():
 def q_general(n):
     """Equivalence of the small diagonal on a general surface, as a linear
     form in the four Chern numbers: the H^n pushforward of cls_n."""
+    require_ints("q_general", n=n)
     if not 1 <= n <= Q_MAX:
         raise ValueError(f"q_general: n must be in 1..{Q_MAX}, got {n}")
     return pushforward_to_Y(_class_table()[n - 1], n)
@@ -179,6 +181,7 @@ def c_correction(n):
     C_4 = -(3/2 pi_*[H^4] cls_3 - 2 pi_*[H^4] cls_2); zero for n <= 2, and no
     formula exists beyond n = 4.  That the plane formulas lift to these forms
     is an observed identity, held exactly by `tables.a_decomposition_check`."""
+    require_ints("c_correction", n=n)
     if n in (1, 2):
         return LinearForm()
     cls = _class_table()
@@ -233,6 +236,7 @@ def _plane_table():
 
 def q_p2_extraction(n):
     """Coefficient of l^2 H^n in the expanded diagonal class M_n; a quadratic in d."""
+    require_ints("q_p2_extraction", n=n)
     if not 1 <= n <= Q_MAX:
         raise ValueError(f"q_p2_extraction: n must be in 1..{Q_MAX}, got {n}")
     return _plane_table()[n - 1].coefficient(2, n)
@@ -244,6 +248,7 @@ def q_p2_closed(n):
     Constant term uses the reading 25/2 n^2 - 29/2 n + 3, which is the one
     consistent with the small-n table values.
     """
+    require_ints("q_p2_closed", n=n)
     if n < 1:
         raise ValueError(f"q_p2_closed: n must be >= 1, got {n}")
     b1 = binomial(3 * n - 3, n - 1)
@@ -263,6 +268,7 @@ def q_p2_closed(n):
 def c_correction_p2(n):
     """`c_correction(n)` on (P^2, O(d)), a polynomial in d; cached per n and
     shared by every `multiple_point_degree`."""
+    require_ints("c_correction_p2", n=n)
     return c_correction(n).specialize_p2()
 
 

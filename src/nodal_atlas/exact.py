@@ -28,6 +28,7 @@ def binomial(n, k):
 
     Both k > n and k < 0 return 0; n must be non-negative.
     """
+    require_ints("binomial", n=n, k=k)
     if n < 0:
         raise ValueError(f"binomial: n must be >= 0, got {n}")
     if k < 0 or k > n:

@@ -12,6 +12,7 @@ from itertools import islice
 
 from . import assets
 from .chow import ChernNumbers, LinearForm
+from .exact import require_ints
 from .partitions import iter_partitions
 
 CODIM = {"A1": 1, "A2": 2, "A3": 3, "A4": 4, "D4": 4}
@@ -88,6 +89,7 @@ def _table():
 
 def tabulated_types(codim):
     """The tabulated types of the given codimension, in table order; a new list per call."""
+    require_ints("tabulated_types", codim=codim)
     return list(_table()[1].get(codim, ()))
 
 

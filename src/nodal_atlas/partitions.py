@@ -142,6 +142,7 @@ def signature_count(r, sig):
     sig maps block size to multiplicity; sizes with zero multiplicity may be
     omitted.  Formula: r! / (prod_i (i!)^{j_i} j_i!).
     """
+    require_ints("signature_count", r=r)
     total = sum(i * j for i, j in sig.items())
     if total != r:
         raise ValueError(f"signature {sig} is inconsistent with r={r}")
@@ -155,6 +156,7 @@ def signature_count(r, sig):
 
 def integer_partition_signatures(r):
     """All signatures {size: count} with sum size*count == r, deterministic order."""
+    require_ints("integer_partition_signatures", r=r)
     out = []
 
     def descend(remaining, max_part, acc):

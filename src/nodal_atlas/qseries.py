@@ -30,14 +30,13 @@ so its residual is the x-channel residual, and is computed as that one.
 
 Delta, D G_2 and its powers have integer coefficients, so they are built as
 integer tuples: Delta by Jacobi's identity, D G_2 by one uncached helper.
-Each series is built once, at the table extent 15, and order T reads its
-first T + 1 coefficients, which truncation leaves exact: the powers of
-D G_2 and the two logarithms once per process, the column sums of the
-channel series (the d and x residuals, log B_1, log B_2) as integer
-numerators over 24 lcm(1..15), and B_1 and B_2, once per value in bounded
-caches.  The second route to log B_1 shares none of that: it is Horner's
-rule in t, on integer numerators over lcm(1..T).  Results are PowerSeries
-built fresh on every call, so no caller can alter a cached value.
+The powers of D G_2 and the two logarithms are built once per process, and
+every series read from the coefficient table once per table value, in one
+bounded cache, at the table extent 15: order T reads its first T + 1
+coefficients, which truncation leaves exact.  The second route to log B_1
+shares none of that: it is Horner's rule in t, on integer numerators over
+lcm(1..T).  Results are PowerSeries built fresh on every call, so no caller
+can alter a cached value.
 """
 
 from __future__ import annotations
@@ -148,6 +147,7 @@ def _sigma(n):
 
 def eisenstein_g2(order):
     """-1/24 + sum sigma(n) q^n."""
+    require_ints("eisenstein_g2", order=order)
     return PowerSeries(
         [Fraction(-1, 24)] + [_sigma(n) for n in range(1, order + 1)], order
     )
@@ -171,6 +171,7 @@ def _delta_over_q(order):
 
 def discriminant(order):
     """Delta = q * prod_{m>0} (1 - q^m)^24, truncated."""
+    require_ints("discriminant", order=order)
     if order < 0:
         raise ValueError("discriminant needs order >= 0")
     return PowerSeries((0,) + _delta_over_q(order - 1), order)
@@ -207,40 +208,38 @@ def _check_table(caller, order, forms):
                          f"extent {TABLE_ORDER} or the {len(forms)} rows given")
 
 
-def _column(forms, cell):
-    """One column of the table through its extent, as a cache key; "F-G" is log B_1's."""
-    return tuple(f.F - f.G if cell == "F-G" else getattr(f, cell) for f in forms[:TABLE_ORDER])
+# name: (column, multiples over 24 of log(D G_2/q) and log(Delta D^2 G_2/q^2))
+_CHANNEL_SERIES = {"d": (lambda f: f.D, -12, 0), "x": (lambda f: f.G, -2, 1),
+                   "log_b1": (lambda f: f.F - f.G, 0, 0), "log_b2": (lambda f: f.E, 12, 0)}
 
 
-@lru_cache(maxsize=16)  # a table has four summed columns: the last four tables
-def _channel_sum(column):
-    """_DENOMINATOR times sum_{l>=1} (-1)^{l-1} column[l-1] (D G_2)^l / l
-    through q^len(column), as a tuple of integers, once per value."""
-    powers = _inputs()[0]
-    weights = [(-1) ** l * c * (_DENOMINATOR // (l + 1)) for l, c in enumerate(column)]
-    return tuple(sum(weights[l] * powers[l][n] for l in range(n)) for n in range(len(column) + 1))
+@lru_cache(maxsize=4)  # the last four tables
+def _table_series(rows):
+    """Every series read from the table `rows` through q^len(rows), as tuples of
+    Fractions, once per value: each of _CHANNEL_SERIES, with column sum
+    sum_{l>=1} (-1)^{l-1} column[l-1] (D G_2)^l / l, and B_1 and B_2."""
+    powers, log_dg2, log_disc = _inputs()
+    series = {}
+    for name, (cell, dg2, disc) in _CHANNEL_SERIES.items():
+        weights = [(-1) ** l * cell(f) * (_DENOMINATOR // (l + 1)) for l, f in enumerate(rows)]
+        series[name] = tuple(Fraction(sum(weights[l] * powers[l][n] for l in range(n))
+                                      + dg2 * log_dg2[n] + disc * log_disc[n], _DENOMINATOR)
+                             for n in range(len(rows) + 1))
+    series["b1"], series["b2"] = (tuple(series_exp(PowerSeries(series[log])).coeffs)
+                                  for log in ("log_b1", "log_b2"))
+    return series
 
 
-def _channel_series(order, column, dg2=0, disc=0):
-    """The channel sum of column plus dg2/24 log(D G_2/q) and
-    disc/24 log(Delta D^2 G_2/q^2), through q^order, as a fresh PowerSeries."""
-    _, log_dg2, log_disc = _inputs()
-    sums = _channel_sum(column)
-    return PowerSeries([Fraction(sums[n] + dg2 * log_dg2[n] + disc * log_disc[n], _DENOMINATOR)
-                        for n in range(order + 1)], order)
-
-
-@lru_cache(maxsize=8)  # B_1 and B_2 of the last four tables
-def _channel_exp(column, dg2=0):
-    """The coefficients of exp(`_channel_series`) through q^len(column), once per value."""
-    return tuple(series_exp(_channel_series(len(column), column, dg2)).coeffs)
+def _read(caller, name, order, forms):
+    """Series `name` of the table `forms` through q^order, as a fresh PowerSeries."""
+    _check_table(caller, order, forms)
+    return PowerSeries(_table_series(tuple(forms[:TABLE_ORDER]))[name][: order + 1], order)
 
 
 def recover_log_b1(order, forms):
     """log B_1 through q^order: c_n = sum_r y_r(n) (-1)^{r-1} (F_r - G_r)/r,
     with y_r(n) the q^n coefficient of (D G_2)^r."""
-    _check_table("recover_log_b1", order, forms)
-    return _channel_series(order, _column(forms, "F-G"))
+    return _read("recover_log_b1", "log_b1", order, forms)
 
 
 def recover_log_b1_direct(order, forms):
@@ -259,19 +258,16 @@ def recover_log_b1_direct(order, forms):
 
 def recover_b1(order, forms):
     """B_1 itself: the series exponential of log B_1; b_0 = 1."""
-    _check_table("recover_b1", order, forms)
-    return PowerSeries(_channel_exp(_column(forms, "F-G")), order)
+    return _read("recover_b1", "b1", order, forms)
 
 
 def recover_log_b2(order, forms):
     """log B_2 through q^order: 1/2 log(D G_2/q) plus the k-channel sum."""
-    _check_table("recover_log_b2", order, forms)
-    return _channel_series(order, _column(forms, "E"), 12)
+    return _read("recover_log_b2", "log_b2", order, forms)
 
 
 def recover_b2(order, forms):
-    _check_table("recover_b2", order, forms)
-    return PowerSeries(_channel_exp(_column(forms, "E"), 12), order)
+    return _read("recover_b2", "b2", order, forms)
 
 
 def gyz_channel_residual(channel, order, forms):
@@ -284,6 +280,4 @@ def gyz_channel_residual(channel, order, forms):
         raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
     if channel == "k":
         return PowerSeries([], order)
-    if channel == "d":
-        return _channel_series(order, _column(forms, "D"), -12)
-    return _channel_series(order, _column(forms, "G"), -2, 1)
+    return _read("gyz_channel_residual", "d" if channel == "d" else "x", order, forms)

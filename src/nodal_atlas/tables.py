@@ -100,6 +100,7 @@ def tilde_consistency(i):
     agree except the x-cell of row 14, whose printed sign is inconsistent;
     the a_i row is authoritative there.
     """
+    require_ints("tilde_consistency", i=i)
     derived = (c // math.factorial(i - 1) for c in a_form(i).signed())
     return [a == b for a, b in zip(derived, _rows()[i]["a_tilde"])]
 
@@ -156,6 +157,7 @@ def node_count_bruteforce(r, chern):
     a_{|B|+1}, the prefix times the suffix of each placement; there is no
     division, since an a_i may be zero.  r runs over 0..MAX_R.
     """
+    require_ints("node_count_bruteforce", r=r)
     if not 0 <= r <= MAX_R:
         raise ValueError(f"node_count_bruteforce: r must be in 0..{MAX_R}, got {r}")
     chern = ChernNumbers._make(chern)
@@ -266,6 +268,7 @@ def node_polynomial(r):
     packed exponents.  The only division is the exact one by r!; the result
     is the cached, immutable SparsePoly itself, one object per r.
     """
+    require_ints("node_polynomial", r=r)
     if not 1 <= r <= MAX_I:
         raise ValueError(f"node_polynomial: r must be in 1..{MAX_I}, got {r}")
     return _node_polynomials()[r]
@@ -275,6 +278,7 @@ def severi_degree_p2(d, r):
     """Count of r-nodal plane curves of degree d through the expected number
     of points.  Virtual (warned, not refused) outside the validity range
     r <= 2d - 2."""
+    require_ints("severi_degree_p2", d=d, r=r)
     if d < 1:
         raise ValueError(f"severi_degree_p2: degree must be >= 1, got {d}")
     if r > 2 * d - 2:
@@ -339,6 +343,7 @@ def a_decomposition_check(i):
     sides come from independent data: the coefficient table, and the chow
     layer with the Thom table.
     """
+    require_ints("a_decomposition_check", i=i)
     if not 2 <= i <= 4:
         raise ValueError(f"a_decomposition_check: i must be in 2..4, got {i}")
     sign, factorial = (-1) ** (i - 1), math.factorial(i - 1)

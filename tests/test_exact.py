@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import math
 import pickle
@@ -7,7 +8,7 @@ from types import MappingProxyType
 
 import pytest
 
-from nodal_atlas import bell, checks, chow, kazarian, qseries, tables
+from nodal_atlas import bell, checks, chow, kazarian, partitions, qseries, tables
 from nodal_atlas.chow import H, Q_MAX, GradedClass, LinearForm, P2Class
 from nodal_atlas.exact import PolyD, SparsePoly, binomial, format_rational
 
@@ -250,3 +251,68 @@ def test_pickle_and_copies_round_trip(value):
     for twin in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
         assert type(twin) is type(value) and twin == value
         assert isinstance(twin.terms, MappingProxyType)
+
+
+_FORMS = tables.all_forms()
+_P2 = tables.ChernNumbers.p2(5)
+
+# every public top-level function of the package that takes a size, by
+# (function, argument): the call with v in that argument's place.
+# tests/test_layout.py holds this table to the package's signatures
+SIZE_CALLS = {
+    ("complete_bell", "r"): lambda v: bell.complete_bell(v),
+    ("partial_bell", "n"): lambda v: bell.partial_bell(v, 1),
+    ("partial_bell", "l"): lambda v: bell.partial_bell(3, v),
+    ("complete_bell_by_signatures", "r"): lambda v: checks.complete_bell_by_signatures(v, [1, 2, 3]),
+    ("node_count_by_signatures", "r"): lambda v: checks.node_count_by_signatures(v, _P2),
+    ("pushforward_to_Y", "n"): lambda v: chow.pushforward_to_Y(chow.H ** 3, v),
+    ("q_general", "n"): lambda v: chow.q_general(v),
+    ("c_correction", "n"): lambda v: chow.c_correction(v),
+    ("q_p2_extraction", "n"): lambda v: chow.q_p2_extraction(v),
+    ("q_p2_closed", "n"): lambda v: chow.q_p2_closed(v),
+    ("c_correction_p2", "n"): lambda v: chow.c_correction_p2(v),
+    ("multiple_point_degree", "r"): lambda v: chow.multiple_point_degree(v, 5),
+    ("multiple_point_degree", "d"): lambda v: chow.multiple_point_degree(2, v),
+    ("binomial", "n"): lambda v: binomial(v, 1),
+    ("tabulated_types", "codim"): lambda v: kazarian.tabulated_types(v),
+    ("iter_partitions", "r"): lambda v: list(partitions.iter_partitions(v)),
+    ("enumerate_partitions", "r"): lambda v: partitions.enumerate_partitions(v),
+    ("signature_count", "r"): lambda v: partitions.signature_count(v, {1: 3}),
+    ("integer_partition_signatures", "r"): lambda v: partitions.integer_partition_signatures(v),
+    ("eisenstein_g2", "order"): lambda v: qseries.eisenstein_g2(v),
+    ("discriminant", "order"): lambda v: qseries.discriminant(v),
+    ("recover_log_b1", "order"): lambda v: qseries.recover_log_b1(v, _FORMS),
+    ("recover_log_b1_direct", "order"): lambda v: qseries.recover_log_b1_direct(v, _FORMS),
+    ("recover_b1", "order"): lambda v: qseries.recover_b1(v, _FORMS),
+    ("recover_log_b2", "order"): lambda v: qseries.recover_log_b2(v, _FORMS),
+    ("recover_b2", "order"): lambda v: qseries.recover_b2(v, _FORMS),
+    ("gyz_channel_residual", "order"): lambda v: qseries.gyz_channel_residual("d", v, _FORMS),
+    ("a_form", "i"): lambda v: tables.a_form(v),
+    ("tilde_consistency", "i"): lambda v: tables.tilde_consistency(v),
+    ("node_counts", "r"): lambda v: tables.node_counts(v, _P2),
+    ("node_count", "r"): lambda v: tables.node_count(v, _P2),
+    ("node_count_bruteforce", "r"): lambda v: tables.node_count_bruteforce(v, _P2),
+    ("node_polynomial", "r"): lambda v: tables.node_polynomial(v),
+    ("severi_degree_p2", "d"): lambda v: tables.severi_degree_p2(v, 0),
+    ("severi_degree_p2", "r"): lambda v: tables.severi_degree_p2(5, v),
+    ("a_decomposition_check", "i"): lambda v: tables.a_decomposition_check(v),
+}
+
+
+# views of one other function, which refuses the size in its own name
+REFUSED_BY = {"node_count": "node_counts", "enumerate_partitions": "iter_partitions"}
+
+
+@pytest.mark.parametrize("value", [3.0, True, Fraction(3)], ids=["float", "bool", "fraction"])
+@pytest.mark.parametrize("key", SIZE_CALLS, ids="-".join)
+def test_size_arguments_must_be_ints(key, value):
+    # a float, bool or Fraction size used to be read as the int it equals,
+    # or to fail deep inside; it is refused by name before any work, even
+    # where a cache keyed by sizes already holds the int's entry
+    function, argument = key
+    call = SIZE_CALLS[key]
+    with contextlib.suppress(ValueError):  # 1 is out of range for some
+        call(int(value))
+    refuser = REFUSED_BY.get(function, function)
+    with pytest.raises(TypeError, match=rf"^{refuser}: {argument} must be an int, got "):
+        call(value)

@@ -6,8 +6,9 @@ the benchmark; a test is not enough (oracles live in ``checks.py`` and
 ``tests/``).  No module may import a name it never uses.  Kernel products
 run through one method, block-size signatures are enumerated for one
 caller, no top-level value has a second name, the package's `__init__.py`
-re-exports nothing, no cache can grow without bound, and the CLI reads
-integers by one rule and writes its output through one function.  The checks parse the source with ``ast``.
+re-exports nothing, no cache can grow without bound, every size argument
+is checked by one rule, and the CLI reads integers by one rule and writes
+its output through one function.  The checks parse the source with ``ast``.
 """
 
 import ast
@@ -209,6 +210,33 @@ def test_caches_are_bounded_unless_keyed_by_sizes():
                 if args.vararg or args.kwarg or not set(params) <= SIZE_PARAMETERS:
                     loose.append(f"{path.name}:{node.lineno}:{node.name}{tuple(params)}")
     assert not loose, f"unbounded caches keyed by more than sizes: {loose}"
+
+
+# the names a size argument takes (an index, a count, a degree, an order)
+SIZE_ARGUMENTS = SIZE_PARAMETERS | {"l", "i", "d", "codim"}
+
+
+def test_every_size_argument_is_in_the_size_test():
+    # each public function's size is refused unless it is an int, and the
+    # size test's table names every (function, argument) pair that takes
+    # one, so a new size-taking function cannot skip the rule
+    taking = {
+        (stmt.name, arg.arg)
+        for path in MODULES
+        for stmt in ast.parse(path.read_text(), filename=str(path)).body
+        if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+        for arg in stmt.args.posonlyargs + stmt.args.args + stmt.args.kwonlyargs
+        if arg.arg in SIZE_ARGUMENTS
+    }
+    table = next(
+        stmt.value for stmt in ast.parse((ROOT / "tests" / "test_exact.py").read_text()).body
+        if isinstance(stmt, ast.Assign) and ast.unparse(stmt.targets[0]) == "SIZE_CALLS"
+    )
+    named = {ast.literal_eval(key) for key in table.keys}
+    assert taking == named, (
+        f"missing from the size test: {sorted(taking - named)}; "
+        f"not a size argument of the package: {sorted(named - taking)}"
+    )
 
 
 def test_cli_integers_follow_the_asset_cell_rule():

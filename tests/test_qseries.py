@@ -123,18 +123,22 @@ def test_dg2_power_coeff_vs_convolution():
 
 
 def test_qseries_inputs_are_built_once():
-    # every order reads a prefix of the one table at the extent of the
-    # coefficient table; no order builds inputs of its own
+    # every reader at every order reads a prefix of the one set of series
+    # built at the extent of the coefficient table; no order builds its own
     qseries._inputs.cache_clear()
+    qseries._table_series.cache_clear()
     forms = all_forms()
     for order in range(TABLE_ORDER + 1):
         for channel in CHANNELS:
             gyz_channel_residual(channel, order, forms)
-        recover_b1(order, forms)
-        recover_b2(order, forms)
-    info = qseries._inputs.cache_info()
-    assert (info.misses, info.currsize) == (1, 1)
+        for read in (recover_b1, recover_b2, recover_log_b1, recover_log_b2):
+            read(order, forms)
+    for cache in (qseries._inputs, qseries._table_series):
+        info = cache.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
     assert all(len(p) == TABLE_ORDER + 1 for p in qseries._inputs()[0])
+    series = qseries._table_series(tuple(forms))
+    assert all(len(cs) == TABLE_ORDER + 1 for cs in series.values())
 
 
 def test_dg2_low_coefficients():
@@ -162,18 +166,33 @@ def test_channel_residuals_by_construction():
 
 
 def test_only_the_d_and_x_channels_are_summed(monkeypatch):
-    # k is the zero series and s the x residual by construction, so a
-    # residual sums one table column at most
-    calls = []
-    channel_sum = qseries._channel_sum
-    monkeypatch.setattr(qseries, "_channel_sum", lambda *a: calls.append(1) or channel_sum(*a))
+    # k is the zero series and s the x residual by construction, so k reads
+    # no table and a residual reads one channel series at most
     forms = all_forms()
+    series = qseries._table_series(tuple(forms))
+
+    def refuse(rows):
+        raise AssertionError("the k channel read the table")
+
+    monkeypatch.setattr(qseries, "_table_series", refuse)
+    assert gyz_channel_residual("k", TABLE_ORDER, forms).is_zero()
+    reads = []
+
+    class Recorder(dict):
+        def __getitem__(self, name):
+            reads.append(name)
+            return super().__getitem__(name)
+
+    monkeypatch.setattr(qseries, "_table_series", lambda rows: Recorder(series))
     counts = {}
     for channel in CHANNELS:
-        calls.clear()
+        reads.clear()
         gyz_channel_residual(channel, TABLE_ORDER, forms)
-        counts[channel] = len(calls)
-    assert counts == {"d": 1, "k": 0, "s": 1, "x": 1}
+        counts[channel] = list(reads)
+    assert counts == {"d": ["d"], "k": [], "s": ["x"], "x": ["x"]}
+    for order in range(TABLE_ORDER + 1):
+        s = gyz_channel_residual("s", order, forms)
+        assert (s.order, s.coeffs) == (order, gyz_channel_residual("x", order, forms).coeffs)
 
 
 def _dense_channel_sum(t, coeffs):
@@ -270,17 +289,16 @@ def test_series_caches_key_on_the_table_values():
 
 def test_series_caches_stay_bounded_and_hand_out_fresh_series():
     shipped = all_forms()
-    caches = (qseries._channel_sum, qseries._channel_exp)
-    distinct = max(cache.cache_parameters()["maxsize"] for cache in caches) + 2
-    misses = [cache.cache_info().misses for cache in caches]
+    cache = qseries._table_series
+    distinct = cache.cache_parameters()["maxsize"] + 2
+    before = cache.cache_info().misses
     for j in range(1, distinct + 1):
         changed = [shipped[0]._replace(D=shipped[0].D + j, F=shipped[0].F + j)] + shipped[1:]
         gyz_channel_residual("d", TABLE_ORDER, changed)
         recover_b1(TABLE_ORDER, changed)
-    for cache, before in zip(caches, misses):
-        info = cache.cache_info()
-        assert info.misses - before >= distinct  # each new table is built once
-        assert info.currsize <= info.maxsize
+    info = cache.cache_info()
+    assert info.misses - before >= distinct  # each new table is built once
+    assert info.currsize <= info.maxsize
     # a series changed by its caller, or the caller's table changed after a
     # read, leaves every later read as it was
     table = list(shipped)
@@ -305,7 +323,7 @@ def test_the_horner_route_reads_no_table_cache(monkeypatch):
     def refuse(*args):
         raise AssertionError("the Horner route read a table cache")
 
-    for name in ("_inputs", "_channel_sum", "_channel_exp"):
+    for name in ("_inputs", "_table_series"):
         monkeypatch.setattr(qseries, name, refuse)
     with pytest.raises(AssertionError):
         recover_log_b1(TABLE_ORDER, forms)
@@ -322,7 +340,7 @@ def test_orders_must_be_ints(order, monkeypatch):
     def refuse(*args):
         raise AssertionError("read a series with a non-integer order")
 
-    for name in ("_inputs", "_channel_sum", "_channel_exp", "_dg2"):
+    for name in ("_inputs", "_table_series", "_dg2"):
         monkeypatch.setattr(qseries, name, refuse)
     forms = all_forms()
     with pytest.raises(TypeError, match=r"gyz_channel_residual: order must be an int"):

@@ -575,6 +575,40 @@ def test_integrality_grid():
             assert isinstance(node_count(r, chern), int)
 
 
+def _inverse_eta_power(order):
+    """[q^0..q^order] of prod_{n>=1} (1 - q^n)^-24, with integers: one
+    geometric series 1/(1 - q^n) multiplied in at a time."""
+    coeffs = [1] + [0] * order
+    for n in range(1, order + 1):
+        for _ in range(24):
+            for m in range(n, order + 1):
+                coeffs[m] += coeffs[m - n]
+    return coeffs
+
+
+def test_k3_node_counts_are_the_yau_zaslow_numbers():
+    # a K3 surface with a genus-g system: (d, k, s, x) = (2g - 2, 0, 0, 24),
+    # and N_g is [q^g] of the Euler product (Yau-Zaslow, Beauville), through
+    # g = 14, the rows the G-cell defect leaves alone
+    want = _inverse_eta_power(14)
+    for g in range(1, 15):
+        assert node_count(g, (2 * g - 2, 0, 0, 24)) == want[g], g
+
+
+def test_k3_node_count_at_g15_carries_the_published_table_defect():
+    # the published row-15 G cell is 4960 too large, and N_15 reads it as
+    # 24 G_15 / 15: exactly 7936 over the Yau-Zaslow number
+    assert node_count(15, (28, 0, 0, 24)) - _inverse_eta_power(15)[15] == 7936 == 24 * 4960 // 15
+
+
+def test_abelian_node_counts_are_the_bryan_leung_numbers():
+    # an abelian surface with L^2 = 2n: (d, k, s, x) = (2n, 0, 0, 0), and
+    # N_{n-1} = n^2 sigma(n) (Bryan-Leung); s = x = 0 never reads row 15's defect
+    for n in range(1, 17):
+        sigma = sum(m for m in range(1, n + 1) if n % m == 0)
+        assert node_count(n - 1, (2 * n, 0, 0, 0)) == n * n * sigma, n
+
+
 def test_ratio_table_rendering_matches_published():
     rendered = {row.n: row.rendered() for row in ratio_table()}
     for n, cells in PRINTED_RATIOS.items():
