@@ -1,18 +1,20 @@
 """Complete and partial Bell polynomials over exact integers and rationals.
 
-The complete polynomial is generated once per n from the block-size
-signatures of set partitions (the multinomial count r!/(prod (i!)^j_i j_i!)),
-which keeps a single combinatorial source of truth with the partition-lattice
-layer; a partial polynomial is the slice of it with a given number of
-blocks.  Evaluation (multiple-point degrees, exp of a q-series) uses the
-O(r^2) complete Bell recurrence alone; the p(r)-term signature sum is the
-oracle in `checks`, and the tests compare the two routes.  The symbolic
-node polynomial, in `tables`, runs the same recurrence in one variable per
-Chern number and joins the four tables by the binomial convolution
-Y_n(u + v) = sum_j C(n, j) Y_j(u) Y_{n-j}(v), over packed integer exponents;
-numeric node counts there use Newton's identity instead, which needs neither
-binomials nor the division by r!.  Cached polynomials are shared, and
-their terms are read-only.
+The complete polynomials of every index up to MAX_R are built together on
+first use, in one pass over `partitions.signature_tree`: each integer
+partition of r is one monomial of Y_r, carrying the number
+r!/(prod (i!)^j_i j_i!) of set partitions with those block sizes, so the
+partition layer stays the single combinatorial source of truth; a partial
+polynomial is the slice of a complete one with a given number of blocks.
+Evaluation (multiple-point degrees, exp of a q-series) uses the O(r^2)
+complete Bell recurrence alone; the p(r)-term signature sum over the same
+tree is the oracle in `checks`, and the tests compare the two routes.  The
+symbolic node polynomial, in `tables`, runs the same recurrence in one
+variable per Chern number and joins the four tables by the binomial
+convolution Y_n(u + v) = sum_j C(n, j) Y_j(u) Y_{n-j}(v), over packed
+integer exponents; numeric node counts there use Newton's identity instead,
+which needs neither binomials nor the division by r!.  Cached polynomials
+are shared, and their terms are read-only.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import math
 from functools import lru_cache
 
 from .exact import SparsePoly, require_ints
-from .partitions import integer_partition_signatures, signature_count
+from .partitions import signature_tree
 
 MAX_R = 15
 
@@ -31,16 +33,16 @@ def _check_r(r):
         raise ValueError(f"Bell polynomial index must be in 1..{MAX_R}, got {r}")
 
 
-def _signature_poly(n):
-    """Sum over the block-size signatures of an n-set of the number of set
-    partitions with that signature times x_1^{j_1}...x_n^{j_n}."""
-    terms = {}
-    for sig in integer_partition_signatures(n):
-        terms[tuple(sig.get(i, 0) for i in range(1, n + 1))] = signature_count(n, sig)
-    return SparsePoly(n, terms)
+@lru_cache(maxsize=1)
+def _complete_bells():
+    """Y_0..Y_MAX_R, built together in one pass over the signature tree:
+    each node is one monomial of the polynomial of its size."""
+    terms = [{} for _ in range(MAX_R + 1)]
+    for _, _, size, mults, count in signature_tree(MAX_R):
+        terms[size][mults] = count
+    return tuple(SparsePoly(r, t) for r, t in enumerate(terms))
 
 
-@lru_cache(maxsize=None)
 def complete_bell(r):
     """The complete exponential Bell polynomial in x_1..x_r.
 
@@ -49,7 +51,7 @@ def complete_bell(r):
     """
     require_ints("complete_bell", r=r)
     _check_r(r)
-    return _signature_poly(r)
+    return _complete_bells()[r]
 
 
 def partial_bell(n, l):

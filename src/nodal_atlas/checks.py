@@ -14,12 +14,11 @@ import warnings
 from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import mul
 
 from . import chow, kazarian
-from .bell import complete_bell
+from .bell import MAX_R
 from .exact import PolyD, _as_fraction, require_ints
+from .partitions import signature_tree
 from .qseries import TABLE_ORDER, gyz_channel_residual, recover_b1, recover_log_b1, recover_log_b1_direct
 from .tables import (
     MAX_I,
@@ -82,41 +81,41 @@ REFERENCE_RATIOS = {
 }
 
 
-@lru_cache(maxsize=None)
-def _signature_terms(r):
-    """The monomials of `bell.complete_bell(r)` as (count, indices), r = 0
-    the empty product.  The power table of an evaluation holds x_i^0..x_i^{r//i}
-    for i = 1..r in turn, so each (block size i, multiplicity j > 0) becomes
-    one index into it."""
-    if r == 0:
-        return ((1, ()),)
-    offsets = list(accumulate((r // i + 1 for i in range(1, r + 1)), initial=0))
-    return tuple(
-        (count, tuple(offsets[i] + j for i, j in enumerate(expo) if j))
-        for expo, count in complete_bell(r).terms.items()
-    )
-
-
 def complete_bell_by_signatures(r, values):
     """Oracle for bell.complete_bell_sequence: the p(r)-term sum over block-size
-    signatures of count * prod x_i^{j_i}.  Integers stay integers; any other
-    input is evaluated in Fractions.  The sum is memoised on the values
-    themselves, so no reload of the table data can make it stale; the memo
-    holds 256 sums, and one `check` asks for 211, so a second finds them all."""
+    signatures of count * prod x_i^{j_i}, at x_1..x_r = values[:r].  Integers
+    stay integers; any other input is evaluated in Fractions."""
     require_ints("complete_bell_by_signatures", r=r)
-    xs = tuple(values[:r])
+    if not 0 <= r <= MAX_R:
+        raise ValueError(f"complete_bell_by_signatures: r must be in 0..{MAX_R}, got {r}")
+    if len(values) < r:
+        raise ValueError(f"need {r} values, got {len(values)}")
+    return _signature_sums_at(values[:r])[r]
+
+
+def _signature_sums_at(values):
+    """[S_0, ..., S_m], S_n the signature sum of index n at the m <= MAX_R
+    values.  The sums are memoised on the values themselves, so no reload of
+    the table data can make them stale; the memo holds 32 value tuples, and
+    one `check` asks for 14, one per surface, so a second finds them all."""
+    xs = tuple(values)
     ints = all(isinstance(v, int) for v in xs)
-    return _signature_sum(r, xs if ints else tuple(map(_as_fraction, xs)), ints)
+    return _signature_sums(xs if ints else tuple(map(_as_fraction, xs)), ints)
 
 
-@lru_cache(maxsize=256)
-def _signature_sum(r, xs, ints):
-    """The signature sum at xs; `ints` keeps an integer sum apart from the
-    equal Fraction sum of integral Fractions.  Each x_i^j comes from a
-    per-call table."""
-    table = [p for i, x in enumerate(xs, 1) for p in accumulate([x] * (r // i), mul, initial=1)]
-    power = table.__getitem__
-    return sum(count * math.prod(map(power, indices)) for count, indices in _signature_terms(r))
+@lru_cache(maxsize=32)
+def _signature_sums(xs, ints):
+    """The sums at xs in one walk of the signature tree, each node's product
+    its parent's times one x; `ints` keeps integer sums apart from the equal
+    Fraction sums of integral Fractions."""
+    tree = signature_tree(MAX_R)
+    products = [1] * len(tree)
+    sums = [1] + [0] * len(xs)  # S_0 = 1, the root's empty product
+    for k, (parent, part, size, _, count) in enumerate(tree[1:], 1):
+        if size <= len(xs):
+            products[k] = product = products[parent] * xs[part - 1]
+            sums[size] += count * product
+    return tuple(sums)
 
 
 def node_count_by_signatures(r, chern):
@@ -245,13 +244,11 @@ def check_integrality_grid():
 
 def check_node_count_routes():
     surfaces = [ChernNumbers.p2(d) for d in range(1, 11)] + list(ORACLE_SURFACES)
-    values = {chern: [a_form(i).evaluate(chern) for i in range(1, MAX_I + 1)] for chern in surfaces}
-    bad = [
-        (tuple(chern), r)
-        for chern in surfaces
-        for r, count in enumerate(node_counts(MAX_I, chern))
-        if math.factorial(r) * count != complete_bell_by_signatures(r, values[chern])
-    ]
+    bad = []
+    for chern in surfaces:
+        sums = _signature_sums_at([a_form(i).evaluate(chern) for i in range(1, MAX_I + 1)])
+        bad += [(tuple(chern), r) for r, count in enumerate(node_counts(MAX_I, chern))
+                if math.factorial(r) * count != sums[r]]
     return not bad, f"mismatches at {bad}" if bad else ""
 
 

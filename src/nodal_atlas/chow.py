@@ -144,8 +144,8 @@ def pushforward_to_Y(c, n):
     The dimension count leaves only L^2 -> d, LK -> k, K^2 -> s, x -> x.
     """
     require_ints("pushforward_to_Y", n=n)
-    if n > Q_MAX:
-        raise ValueError(f"H power {n} exceeds the truncation cap {Q_MAX}")
+    if not 0 <= n <= Q_MAX:
+        raise ValueError(f"pushforward_to_Y: H power must be in 0..{Q_MAX}, got {n}")
     return LinearForm(
         d=c.coefficient((2, 0, 0, n)),
         k=c.coefficient((1, 1, 0, n)),

@@ -1,4 +1,4 @@
-"""Set partitions of {1,...,r}: enumeration, signatures, Moebius coefficients.
+"""Set partitions of {1,...,r}: enumeration, the signature tree, Moebius coefficients.
 
 Partitions are kept in canonical form (each block sorted, blocks ordered by
 least element) so that structural equality coincides with mathematical
@@ -8,11 +8,15 @@ equality and iteration order is deterministic.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .exact import require_ints
 
 # Largest ground set enumerated: B_12 = 4,213,597 partitions.
 MAX_R = 12
+
+# Largest size in the signature tree: p(0) + ... + p(20) = 2,714 nodes.
+MAX_SIGNATURE_SIZE = 20
 
 
 class SetPartition:
@@ -136,39 +140,33 @@ def mobius_coefficient(pi):
     return pi.mobius
 
 
-def signature_count(r, sig):
-    """Number of set partitions of an r-set with j_i blocks of size i.
+@lru_cache(maxsize=None)
+def signature_tree(n):
+    """Every integer partition of 0..n exactly once, as the pre-order walk of
+    the prefix tree that adds parts largest first; cached, shared, read-only.
 
-    sig maps block size to multiplicity; sizes with zero multiplicity may be
-    omitted.  Formula: r! / (prod_i (i!)^{j_i} j_i!).
+    Node k is (parent, part, size, multiplicities, count): the index of its
+    parent (-1 at the root, the empty partition), the part i it adds, its
+    size s, its block-size multiplicities (j_1, ..., j_s), and the number
+    s! / (prod_i (i!)^{j_i} j_i!) of set partitions of an s-set with those
+    block sizes.  A parent's count times C(s, i) / j_i, with s and j_i the
+    child's, is the child's: the division is exact.  Within one size the
+    partitions come in decreasing lexicographic order of their parts.
     """
-    require_ints("signature_count", r=r)
-    total = sum(i * j for i, j in sig.items())
-    if total != r:
-        raise ValueError(f"signature {sig} is inconsistent with r={r}")
-    denom = 1
-    for i, j in sig.items():
-        if j < 0 or i < 1:
-            raise ValueError(f"signature {sig} has an invalid entry")
-        denom *= math.factorial(i) ** j * math.factorial(j)
-    return math.factorial(r) // denom
-
-
-def integer_partition_signatures(r):
-    """All signatures {size: count} with sum size*count == r, deterministic order."""
-    require_ints("integer_partition_signatures", r=r)
-    out = []
-
-    def descend(remaining, max_part, acc):
-        if remaining == 0:
-            out.append(dict(acc))
-            return
-        for part in range(min(remaining, max_part), 0, -1):
-            acc[part] = acc.get(part, 0) + 1
-            descend(remaining - part, part, acc)
-            acc[part] -= 1
-            if acc[part] == 0:
-                del acc[part]
-
-    descend(r, r, {})
-    return out
+    require_ints("signature_tree", n=n)
+    if not 0 <= n <= MAX_SIGNATURE_SIZE:
+        raise ValueError(f"signature_tree: n must be in 0..{MAX_SIGNATURE_SIZE}, got {n}")
+    nodes = []
+    stack = [(-1, 0, 0, (), 1)]  # the root
+    while stack:
+        node = stack.pop()
+        k = len(nodes)
+        nodes.append(node)
+        _, part, size, mults, count = node
+        # parts up to the last one (any at the root), pushed smallest first so
+        # that the largest is popped first
+        for i in range(1, min(part or n, n - size) + 1):
+            grown = [*mults, *(0,) * i]
+            grown[i - 1] += 1
+            stack.append((k, i, size + i, tuple(grown), count * math.comb(size + i, i) // grown[i - 1]))
+    return tuple(nodes)

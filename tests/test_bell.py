@@ -4,8 +4,9 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from integer_partitions import integer_partition_signatures, signature_count
 
-from nodal_atlas import bell
+from nodal_atlas import bell, checks
 from nodal_atlas.bell import (
     SparsePoly,
     complete_bell,
@@ -13,11 +14,7 @@ from nodal_atlas.bell import (
     partial_bell,
 )
 from nodal_atlas.checks import complete_bell_by_signatures
-from nodal_atlas.partitions import (
-    enumerate_partitions,
-    integer_partition_signatures,
-    signature_count,
-)
+from nodal_atlas.partitions import enumerate_partitions, signature_tree
 
 # Bell numbers B_0..B_15
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140, 21147, 115975, 678570, 4213597,
@@ -113,6 +110,42 @@ def test_coefficients_count_set_partitions():
         assert {e: int(c) for e, c in complete_bell(r).terms.items()} == counted
 
 
+def _complete_bell_by_signatures(n):
+    """complete_bell(n) built signature by signature, with each count from
+    the closed formula."""
+    return SparsePoly(n, {
+        tuple(sig.get(i, 0) for i in range(1, n + 1)): signature_count(n, sig)
+        for sig in integer_partition_signatures(n)
+    })
+
+
+def test_complete_bell_equals_the_signature_by_signature_build():
+    for n in range(1, 16):
+        want = _complete_bell_by_signatures(n)
+        assert complete_bell(n) == want
+        assert list(complete_bell(n).terms) == list(want.terms)  # same order
+
+
+@pytest.mark.parametrize("first", [1, 7, 15])
+def test_one_tree_build_serves_every_r(first):
+    # whichever r comes first, one walk of the tree builds Y_0..Y_15, and
+    # the signature-sum oracle reads the same tree
+    signature_tree.cache_clear()
+    bell._complete_bells.cache_clear()
+    checks._signature_sums.cache_clear()
+    try:
+        complete_bell(first)
+        for r in range(1, 16):
+            complete_bell(r)
+            partial_bell(r, 1)
+        assert complete_bell_by_signatures(15, list(range(3, 18))) == complete_bell(15).evaluate(range(3, 18))
+        assert bell._complete_bells.cache_info().misses == 1
+        assert signature_tree.cache_info().misses == 1
+    finally:
+        signature_tree.cache_clear()
+        bell._complete_bells.cache_clear()
+
+
 def test_all_ones_gives_bell_numbers():
     for r in range(1, 16):
         assert complete_bell_sequence([1] * r)[r] == BELL[r]
@@ -134,8 +167,9 @@ def test_dual_path_evaluation_random():
 
 
 def test_tabled_oracle_equals_the_fresh_power_product():
-    # the signature sum with every x_i^j from the per-call table, against
-    # count * math.prod of fresh powers over the same signatures
+    # the signature sum from one walk of the tree, each node's product its
+    # parent's times one x, against count * math.prod of fresh powers over
+    # the signatures enumerated one by one
     rng = random.Random(412)
     for r in range(1, 16):
         for _ in range(2):

@@ -139,6 +139,14 @@ def test_pushforward_cap():
         pushforward_to_Y(GradedClass({(0, 0, 0, 0): 1}), Q_MAX + 1)
 
 
+def test_pushforward_refuses_a_negative_power():
+    # a negative H power used to read an absent coefficient: the zero form
+    for n in (-1, -Q_MAX):
+        with pytest.raises(ValueError, match=rf"pushforward_to_Y: H power must be in 0\.\.{Q_MAX}, got {n}"):
+            pushforward_to_Y(chow._class_table()[1], n)
+    assert pushforward_to_Y(GradedClass({(2, 0, 0, 0): 5}), 0) == LinearForm(5, 0, 0, 0)
+
+
 def test_critical_class_degree_one_part():
     # H^1 surface-degree-2 coefficients: 3L^2 + 2LK + x
     assert pushforward_to_Y(critical_class(), 1) == LinearForm(3, 2, 0, 1)

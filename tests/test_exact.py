@@ -277,8 +277,7 @@ SIZE_CALLS = {
     ("tabulated_types", "codim"): lambda v: kazarian.tabulated_types(v),
     ("iter_partitions", "r"): lambda v: list(partitions.iter_partitions(v)),
     ("enumerate_partitions", "r"): lambda v: partitions.enumerate_partitions(v),
-    ("signature_count", "r"): lambda v: partitions.signature_count(v, {1: 3}),
-    ("integer_partition_signatures", "r"): lambda v: partitions.integer_partition_signatures(v),
+    ("signature_tree", "n"): lambda v: partitions.signature_tree(v),
     ("eisenstein_g2", "order"): lambda v: qseries.eisenstein_g2(v),
     ("discriminant", "order"): lambda v: qseries.discriminant(v),
     ("recover_log_b1", "order"): lambda v: qseries.recover_log_b1(v, _FORMS),

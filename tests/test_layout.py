@@ -4,8 +4,8 @@ A public top-level function or class in ``src/nodal_atlas``, and a private
 top-level function, must be used by name somewhere else in the package or in
 the benchmark; a test is not enough (oracles live in ``checks.py`` and
 ``tests/``).  No module may import a name it never uses.  Kernel products
-run through one method, block-size signatures are enumerated for one
-caller, no top-level value has a second name, the package's `__init__.py`
+run through one method, block-size signatures are enumerated in one tree,
+no top-level value has a second name, the package's `__init__.py`
 re-exports nothing, no cache can grow without bound, every size argument
 is checked by one rule, and the CLI reads integers by one rule and writes
 its output through one function.  The checks parse the source with ``ast``.
@@ -135,10 +135,12 @@ def test_one_product_path():
 
 
 def test_one_signature_enumeration():
-    # the block-size signatures of an r-set feed the complete Bell polynomial
-    # once; every other reader takes its terms from bell.complete_bell
-    callers = _functions_naming("integer_partition_signatures")
-    assert callers == ["bell.py:_signature_poly"], callers
+    # the integer partitions (block-size signatures) of 0..15 are enumerated
+    # once, as the signature tree; the complete Bell polynomials are built
+    # from it in one pass and the signature-sum oracle walks it, and every
+    # other reader takes its terms from bell.complete_bell
+    callers = _functions_naming("signature_tree")
+    assert callers == ["bell.py:_complete_bells", "checks.py:_signature_sums"], callers
 
 
 def test_no_second_name_for_a_top_level_value():

@@ -7,15 +7,16 @@ from itertools import islice
 
 import pytest
 
+from integer_partitions import integer_partition_signatures, signature_count
 from nodal_atlas import partitions
 from nodal_atlas.partitions import (
+    MAX_SIGNATURE_SIZE,
     SetPartition,
     enumerate_partitions,
     format_partition,
-    integer_partition_signatures,
     iter_partitions,
     mobius_coefficient,
-    signature_count,
+    signature_tree,
 )
 
 # Bell numbers B_0..B_12
@@ -251,6 +252,65 @@ def test_signatures_match_enumeration():
         for sig in integer_partition_signatures(r):
             key = tuple(sorted(sig.items()))
             assert by_sig[key] == signature_count(r, sig)
+
+
+# Bell numbers B_0..B_15 and partition numbers p(0)..p(15)
+BELL_15 = BELL + [27644437, 190899322, 1382958545]
+PARTITION_NUMBERS = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42, 56, 77, 101, 135, 176]
+
+
+def _tree_by_size(n):
+    by_size = {}
+    for _, _, size, mults, count in signature_tree(n):
+        by_size.setdefault(size, []).append((mults, count))
+    return by_size
+
+
+def test_signature_tree_holds_each_integer_partition_once():
+    by_size = _tree_by_size(15)
+    assert sorted(by_size) == list(range(16))
+    for n, nodes in by_size.items():
+        vectors = [mults for mults, _ in nodes]
+        assert len(vectors) == len(set(vectors)) == PARTITION_NUMBERS[n]
+        assert all(len(m) == n and sum(i * j for i, j in enumerate(m, 1)) == n for m in vectors)
+        # the order of the one-by-one enumeration, largest parts first
+        assert vectors == [tuple(sig.get(i, 0) for i in range(1, n + 1))
+                           for sig in integer_partition_signatures(n)]
+
+
+def test_signature_tree_is_a_preorder_prefix_tree():
+    # each node adds one part, at most its parent's, to an earlier node
+    tree = signature_tree(15)
+    assert tree[0] == (-1, 0, 0, (), 1)
+    for k, (parent, part, size, mults, _) in enumerate(tree[1:], 1):
+        up_parent, up_part, up_size, up_mults, _ = tree[parent]
+        assert 0 <= parent < k and 1 <= part and size == up_size + part
+        assert up_part == 0 or part <= up_part
+        grown = [*up_mults, *(0,) * part]
+        grown[part - 1] += 1
+        assert mults == tuple(grown)
+
+
+def test_signature_tree_counts_are_signature_counts():
+    for n, nodes in _tree_by_size(15).items():
+        for mults, count in nodes:
+            sig = {i: j for i, j in enumerate(mults, 1) if j}
+            assert count == signature_count(n, sig), (n, mults)
+
+
+def test_signature_tree_counts_sum_to_bell():
+    for n, nodes in _tree_by_size(15).items():
+        assert sum(count for _, count in nodes) == BELL_15[n]
+
+
+def test_signature_tree_range():
+    assert signature_tree(0) == ((-1, 0, 0, (), 1),)
+    for n in (-1, MAX_SIGNATURE_SIZE + 1):
+        with pytest.raises(ValueError, match=rf"signature_tree: n must be in 0\.\.{MAX_SIGNATURE_SIZE}"):
+            signature_tree(n)
+    # a smaller tree is the larger one's nodes of those sizes, in order
+    small = [node[1:] for node in signature_tree(6)]
+    assert small == [node[1:] for node in signature_tree(9) if node[2] <= 6]
 
 
 def test_refines():

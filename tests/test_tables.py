@@ -7,13 +7,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from integer_partitions import integer_partition_signatures, signature_count
 
 from nodal_atlas import assets, checks, tables
 from nodal_atlas.bell import SparsePoly, complete_bell_sequence, partial_bell
 from nodal_atlas.checks import complete_bell_by_signatures, node_count_by_signatures
 from nodal_atlas.chow import LinearForm, multiple_point_degree
 from nodal_atlas.exact import PolyD
-from nodal_atlas.partitions import MAX_R, integer_partition_signatures, signature_count
+from nodal_atlas.partitions import MAX_R
 from nodal_atlas.tables import (
     MAX_I,
     ChernNumbers,
@@ -349,8 +350,36 @@ def test_signature_oracle_memo_keys_on_the_values(monkeypatch):
     assert type(complete_bell_by_signatures(3, [Fraction(v) for v in ints])) is Fraction
 
 
+def test_signature_oracle_refuses_short_values_and_bad_r():
+    # fewer values than r used to raise a bare IndexError
+    for r, values in ((3, [1, 2]), (1, []), (15, list(range(14)))):
+        with pytest.raises(ValueError, match=rf"^need {r} values, got {len(values)}$"):
+            complete_bell_by_signatures(r, values)
+    for r in (-1, 16):
+        with pytest.raises(ValueError, match=r"complete_bell_by_signatures: r must be in 0\.\.15"):
+            complete_bell_by_signatures(r, list(range(20)))
+    assert complete_bell_by_signatures(0, []) == 1
+
+
+def test_signature_oracle_shares_no_code_with_the_recurrences(monkeypatch):
+    # the oracle is a sum over the signature tree alone: Newton's identity,
+    # the Bell recurrence and the symbolic polynomials are made to raise
+    from nodal_atlas import bell
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle left the signature sum")
+
+    for module, name in ((tables, "node_counts"), (tables, "node_count"),
+                         (bell, "complete_bell_sequence"), (bell, "complete_bell"),
+                         (bell, "_complete_bells"), (checks, "node_counts")):
+        monkeypatch.setattr(module, name, refuse)
+    checks._signature_sums.cache_clear()
+    assert node_count_by_signatures(4, ChernNumbers.p2(4)) == 666
+    assert complete_bell_by_signatures(4, [1, 1, 1, 1]) == 15
+
+
 def test_signature_oracle_memo_is_bounded():
-    memo = checks._signature_sum
+    memo = checks._signature_sums
     memo.cache_clear()
     surfaces = 600
     for d in range(1, surfaces + 1):
@@ -360,7 +389,7 @@ def test_signature_oracle_memo_is_bounded():
 
 def test_a_second_check_finds_every_signature_sum():
     # the identities benchmark runs `check` twice in one process
-    memo = checks._signature_sum
+    memo = checks._signature_sums
     memo.cache_clear()
     checks.run_all()
     misses = memo.cache_info().misses
@@ -395,7 +424,7 @@ def test_hot_paths_skip_partition_enumeration(monkeypatch):
 
     from nodal_atlas import partitions
 
-    for name in ("integer_partition_signatures", "enumerate_partitions", "iter_partitions"):
+    for name in ("signature_tree", "enumerate_partitions", "iter_partitions"):
         original = getattr(partitions, name)
 
         def refuse(*args, _name=name, **kwargs):
@@ -508,7 +537,7 @@ def test_channel_tables_are_partial_bell_sums():
             assert table[n] == want, (channel, n)
 
 
-def test_node_polynomial_results_are_fresh():
+def test_node_polynomial_results_are_shared_and_read_only():
     # the terms are the cached ones, shared: an in-place change raises, and
     # the next call returns them whole
     first = node_polynomial(6)
