@@ -283,7 +283,7 @@ def test_signature_tree_is_a_preorder_prefix_tree():
     tree = signature_tree(15)
     assert tree[0] == (-1, 0, 0, (), 1)
     for k, (parent, part, size, mults, _) in enumerate(tree[1:], 1):
-        up_parent, up_part, up_size, up_mults, _ = tree[parent]
+        _, up_part, up_size, up_mults, _ = tree[parent]
         assert 0 <= parent < k and 1 <= part and size == up_size + part
         assert up_part == 0 or part <= up_part
         grown = [*up_mults, *(0,) * part]
