@@ -122,6 +122,8 @@ def node_count_by_signatures(r, chern):
     """Oracle for tables.node_count through the signature sum; the same
     ArithmeticError on a non-integral count."""
     require_ints("node_count_by_signatures", r=r)
+    if not 0 <= r <= MAX_I:
+        raise ValueError(f"node_count_by_signatures: r must be in 0..{MAX_I}, got {r}")
     total = complete_bell_by_signatures(r, [a_form(i).evaluate(chern) for i in range(1, r + 1)])
     quotient, remainder = divmod(total, math.factorial(r))
     if remainder:

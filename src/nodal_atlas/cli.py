@@ -20,7 +20,7 @@ from .bell import MAX_R, complete_bell, complete_bell_sequence, partial_bell
 from .chow import Q_MAX, c_correction_p2, q_general, q_p2_closed, q_p2_extraction
 from .exact import format_rational
 from .kazarian import count_multisingular, parse_type, s_alpha, type_key
-from .partitions import format_partition, iter_partitions, mobius_coefficient
+from .partitions import partition_rows
 from .qseries import (
     TABLE_ORDER,
     discriminant,
@@ -228,12 +228,12 @@ def _cmd_bell(args):
 
 def _cmd_partitions(args):
     _check_range("--r", args.r, 1, MAX_PARTITIONS_R)
-    parts = iter_partitions(args.r)
+    rows = partition_rows(args.r)
     if args.format == "text":
         if args.mobius:
-            lines = (f"{format_partition(pi)}  mobius={mobius_coefficient(pi)}" for pi in parts)
+            lines = (f"{text}  mobius={mobius}" for text, _, mobius in rows)
         else:
-            lines = map(format_partition, parts)
+            lines = (text for text, _, _ in rows)
         _emit(args, lines, None)
     elif args.format == "json":  # streamed, in the bytes of json.dumps(..., indent=2)
         head = {"command": "partitions", "r": args.r,
@@ -241,12 +241,11 @@ def _cmd_partitions(args):
         sys.stdout.write(json.dumps(head, indent=2)[:-2] + ',\n  "partitions": [')
         record = '%s\n    {\n      "partition": %s,\n      "blocks": %d,\n      "mobius": "%d"\n    }'
         sys.stdout.writelines(
-            record % (sep, json.dumps(format_partition(pi)), len(pi), mobius_coefficient(pi))
-            for sep, pi in zip(chain([""], repeat(",")), parts))
+            record % (sep, json.dumps(text), blocks, mobius)
+            for sep, (text, blocks, mobius) in zip(chain([""], repeat(",")), rows))
         sys.stdout.write("\n  ]\n}\n")
     else:
-        rows = ([format_partition(pi), len(pi), mobius_coefficient(pi)] for pi in parts)
-        _emit(args, [], None, chain([["partition", "blocks", "mobius"]], rows))
+        _emit(args, [], None, chain([("partition", "blocks", "mobius")], rows))
     return EXIT_OK
 
 

@@ -122,11 +122,11 @@ def count_multisingular(alpha, chern):
     labels = _as_type(alpha)
     # the one-block term, looked up first so that a type outside the table
     # fails before any enumeration
-    total = Fraction(_form(labels).evaluate(chern))
+    total = _form(labels).evaluate(chern)
     values = {}  # block -> its Thom form at chern, each evaluated once
     # the restricted-growth order puts the one-block partition first
     for pi in islice(iter_partitions(len(labels)), 1, None):
-        prod = Fraction(1)
+        prod = 1
         for block in pi.blocks:
             value = values.get(block)
             if value is None:
@@ -135,4 +135,4 @@ def count_multisingular(alpha, chern):
                 value = values[block] = _form(sub).evaluate(chern)
             prod *= value
         total += prod
-    return total / aut_order(labels)
+    return Fraction(total, aut_order(labels))

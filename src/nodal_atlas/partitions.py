@@ -1,4 +1,5 @@
-"""Set partitions of {1,...,r}: enumeration, the signature tree, Moebius coefficients.
+"""Set partitions of {1,...,r}: enumeration, text rows, the signature tree,
+Moebius coefficients.
 
 Partitions are kept in canonical form (each block sorted, blocks ordered by
 least element) so that structural equality coincides with mathematical
@@ -64,15 +65,19 @@ _BLOCK_SEP = ("", ",")
 
 def format_partition(pi):
     """Text form '12|345'; elements are comma-separated when r > 9."""
-    wide = pi.r > 9
+    return "|".join(_block_texts(pi.blocks, pi.r > 9))
+
+
+def _block_texts(blocks, wide):
+    """The text of each block, as a new list, from the table of that width."""
     text = _BLOCK_TEXT[wide]
     try:
-        return "|".join(map(text.__getitem__, pi.blocks))
+        return list(map(text.__getitem__, blocks))
     except KeyError:
-        if len(text) + len(pi.blocks) > _BLOCK_TEXT_LIMIT:
+        if len(text) + len(blocks) > _BLOCK_TEXT_LIMIT:
             text.clear()
-        text.update((b, _BLOCK_SEP[wide].join(map(str, b))) for b in pi.blocks)
-        return "|".join(map(text.__getitem__, pi.blocks))
+        text.update((b, _BLOCK_SEP[wide].join(map(str, b))) for b in blocks)
+        return list(map(text.__getitem__, blocks))
 
 
 def iter_partitions(r):
@@ -129,6 +134,42 @@ def _walk(r):
 def enumerate_partitions(r):
     """All set partitions of {1,...,r} as a list, in `iter_partitions` order."""
     return list(iter_partitions(r))
+
+
+def partition_rows(r):
+    """(text, block count, Moebius coefficient) of every partition of
+    {1,...,r}, as `format_partition`, `len` and `mobius_coefficient` give
+    them, in `iter_partitions` order, lazily.
+
+    The rows are built from the partitions of {1,...,r-1}, as `_walk`'s last
+    level builds its partitions: the texts of a prefix's blocks are looked
+    up once, and each of its extensions (r joined to one of its blocks, then
+    r set apart) is one join of them, so no partition of {1,...,r} is built.
+    """
+    require_ints("partition_rows", r=r)
+    if not 1 <= r <= MAX_R:
+        raise ValueError(f"partition_rows: r must be in 1..{MAX_R}, got {r}")
+    return _rows(r)
+
+
+def _rows(r):
+    if r == 1:
+        yield "1", 1, 1
+        return
+    wide = r > 9
+    tail = _BLOCK_SEP[wide] + str(r)
+    join = "|".join
+    for pi in _walk(r - 1):
+        blocks, mobius = pi.blocks, pi.mobius
+        texts = _block_texts(blocks, wide)
+        m = len(blocks)
+        for j, b in enumerate(blocks):
+            t = texts[j]
+            texts[j] = t + tail
+            yield join(texts), m, -len(b) * mobius
+            texts[j] = t
+        texts.append(str(r))
+        yield join(texts), m + 1, mobius
 
 
 def mobius_coefficient(pi):

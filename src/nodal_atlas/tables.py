@@ -149,13 +149,21 @@ def node_count_bruteforce(r, chern):
     """Independent oracle: Y_r(a_1, ..., a_r)/r! as its definition reads,
     the sum over the set partitions of [r] of the product of a_{block size}.
 
-    Every partition of [r] is one of [r-1] with r joined to one of its m
-    blocks or set apart as (r,), so the walk is over the B_{r-1} partitions
-    of [r-1], each adding the terms of its m + 1 extensions in one pass.
-    Reading the blocks in order, `kept` is the product of their a_{|B|} and
-    `grown` the sum of those products with one block's factor replaced by
-    a_{|B|+1}, the prefix times the suffix of each placement; there is no
-    division, since an a_i may be zero.  r runs over 0..MAX_R.
+    Every partition of [r] is one of [r-2] with r-1 and r each joined to one
+    of its m blocks or set apart, so the walk is over the B_{r-2} partitions
+    of [r-2], each adding the terms of all its extensions in one pass over
+    its blocks.  Reading a block of size s, with v = a_s, w = a_{s+1} and
+    z = a_{s+2}, four running sums over the blocks read so far update:
+
+        two  <- two * v + one * w     (two blocks grown by one element each)
+        both <- both * v + kept * z   (one block grown by both elements)
+        one  <- one * v + kept * w    (one block grown by one element)
+        kept <- kept * v              (no block grown)
+
+    and the prefix adds 2 two + both + 2 a_1 one + (a_2 + a_1^2) kept: r-1
+    and r in two blocks either way round, in one block, one of them in a
+    block and the other apart, and both apart, together or not.  There is
+    no division, since an a_i may be zero.  r runs over 0..MAX_R.
     """
     require_ints("node_count_bruteforce", r=r)
     if not 0 <= r <= MAX_R:
@@ -165,17 +173,23 @@ def node_count_bruteforce(r, chern):
         return 1
     values = [a_form(i).evaluate(chern) for i in range(1, r + 1)]
     a_1 = values[0]
-    # r = 1 has the single empty prefix, and nothing to enumerate
-    prefixes = (pi.blocks for pi in iter_partitions(r - 1)) if r > 1 else [()]
+    if r == 1:
+        return a_1
+    apart = values[1] + a_1 * a_1  # r-1 and r outside the prefix's blocks
+    # (a_s, a_{s+1}, a_{s+2}) by block size s; a prefix block has s <= r-2
+    steps = [None, *zip(values, values[1:], values[2:])]
+    # r = 2 has the single empty prefix, and nothing to enumerate
+    prefixes = (pi.blocks for pi in iter_partitions(r - 2)) if r > 2 else [()]
     total = 0
     for blocks in prefixes:
-        kept, grown = 1, 0
+        kept, one, both, two = 1, 0, 0, 0
         for block in blocks:
-            size = len(block)
-            value = values[size - 1]
-            grown = grown * value + kept * values[size]
-            kept *= value
-        total += grown + a_1 * kept
+            v, w, z = steps[len(block)]
+            two = two * v + one * w
+            both = both * v + kept * z
+            one = one * v + kept * w
+            kept *= v
+        total += 2 * (two + a_1 * one) + both + apart * kept
     quotient = Fraction(total, math.factorial(r))
     if quotient.denominator != 1:
         raise ArithmeticError(f"brute-force node count is not integral: {quotient}")

@@ -213,7 +213,7 @@ def test_partitions_size_is_bounded_before_any_work(capsys, monkeypatch):
     def refuse(r):
         raise AssertionError("enumerated partitions of an out-of-range --r")
 
-    monkeypatch.setattr(cli, "iter_partitions", refuse)
+    monkeypatch.setattr(cli, "partition_rows", refuse)
     for r in ("11", "0"):
         code, out, err = run_cli(capsys, "partitions", "--r", r)
         assert (code, out) == (2, "")

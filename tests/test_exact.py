@@ -277,6 +277,7 @@ SIZE_CALLS = {
     ("tabulated_types", "codim"): lambda v: kazarian.tabulated_types(v),
     ("iter_partitions", "r"): lambda v: list(partitions.iter_partitions(v)),
     ("enumerate_partitions", "r"): lambda v: partitions.enumerate_partitions(v),
+    ("partition_rows", "r"): lambda v: list(partitions.partition_rows(v)),
     ("signature_tree", "n"): lambda v: partitions.signature_tree(v),
     ("eisenstein_g2", "order"): lambda v: qseries.eisenstein_g2(v),
     ("discriminant", "order"): lambda v: qseries.discriminant(v),

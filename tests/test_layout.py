@@ -5,10 +5,11 @@ top-level function, must be used by name somewhere else in the package or in
 the benchmark; a test is not enough (oracles live in ``checks.py`` and
 ``tests/``).  No module may import a name it never uses.  Kernel products
 run through one method, block-size signatures are enumerated in one tree,
-no top-level value has a second name, the package's `__init__.py`
-re-exports nothing, no cache can grow without bound, every size argument
-is checked by one rule, and the CLI reads integers by one rule and writes
-its output through one function.  The checks parse the source with ``ast``.
+the set-partition walk has a named list of readers, no top-level value has
+a second name, the package's `__init__.py` re-exports nothing, no cache can
+grow without bound, every size argument is checked by one rule, and the CLI
+reads integers by one rule and writes its output through one function.  The
+checks parse the source with ``ast``.
 """
 
 import ast
@@ -141,6 +142,21 @@ def test_one_signature_enumeration():
     # other reader takes its terms from bell.complete_bell
     callers = _functions_naming("signature_tree")
     assert callers == ["bell.py:_complete_bells", "checks.py:_signature_sums"], callers
+
+
+def test_walk_readers():
+    # the set partitions are walked by one enumerator, and each of its
+    # readers is named here, so that a new one building every leaf of the
+    # walk is seen: the oracle walks [r-2] and the CLI's rows come from
+    # [r-1], each placing the last elements itself
+    readers = sorted(_functions_naming("iter_partitions") + _functions_naming("_walk"))
+    assert readers == [
+        "kazarian.py:count_multisingular",
+        "partitions.py:_rows",
+        "partitions.py:enumerate_partitions",
+        "partitions.py:iter_partitions",
+        "tables.py:node_count_bruteforce",
+    ], readers
 
 
 def test_no_second_name_for_a_top_level_value():

@@ -16,6 +16,7 @@ from nodal_atlas.partitions import (
     format_partition,
     iter_partitions,
     mobius_coefficient,
+    partition_rows,
     signature_tree,
 )
 
@@ -167,6 +168,13 @@ def test_format_block_text_stays_bounded(monkeypatch):
             assert text == "|".join("".join(map(str, b)) for b in pi.blocks)
             assert len(partitions._BLOCK_TEXT[0]) <= 8
     assert partitions._BLOCK_TEXT[1] == {}
+
+
+def test_rows_are_the_formatted_partitions():
+    # built from the partitions of [r-1]; r = 10 covers the comma form
+    for r in range(1, 11):
+        want = [(format_partition(pi), len(pi), pi.mobius) for pi in iter_partitions(r)]
+        assert list(partition_rows(r)) == want, r
 
 
 def test_invalid_blocks_rejected():
@@ -331,6 +339,9 @@ def test_enumeration_cap():
     # the bound is checked when the stream is made, before any is drawn
     with pytest.raises(ValueError):
         iter_partitions(13)
+    for r in (0, 13):
+        with pytest.raises(ValueError, match=rf"^partition_rows: r must be in 1\.\.12, got {r}$"):
+            partition_rows(r)
 
 
 @pytest.mark.parametrize("r", [2.0, Fraction(2), True], ids=["float", "fraction", "bool"])

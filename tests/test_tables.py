@@ -162,6 +162,19 @@ def test_bruteforce_with_a_vanishing_first_row():
             assert got * math.factorial(r) == _set_partition_sum(tuple(range(r)), values)
 
 
+def test_bruteforce_with_vanishing_first_two_rows():
+    # a_1 = a_2 = 0 on (P^2, O(1)), so every partition with a block of size
+    # 1 or 2 adds 0, among them each one-block placement of r-1 and r; the
+    # closed form must not divide by either
+    chern = ChernNumbers.p2(1)
+    values = [a_form(i).evaluate(chern) for i in range(1, 8)]
+    assert values[:2] == [0, 0]
+    for r in range(0, 8):
+        got = node_count_bruteforce(r, chern)
+        assert got == node_count(r, chern)
+        assert got * math.factorial(r) == _set_partition_sum(tuple(range(r)), values)
+
+
 def test_bruteforce_raises_where_node_count_raises():
     # off the adjunction/Noether lattice: 511725174931/12 at r = 4
     chern = ChernNumbers(292, 48, -8, 55)
@@ -203,8 +216,8 @@ FROZEN_BRUTEFORCE = {
 
 
 def test_bruteforce_stays_a_set_partition_sum(monkeypatch):
-    # it walks exactly the B_{r-1} partitions of [r-1], never those of [r],
-    # and reaches its values with every other route to Y_r made to raise
+    # it walks exactly the B_{r-2} partitions of [r-2], never those of [r-1]
+    # or [r], and reaches its values with every other route to Y_r made to raise
     from nodal_atlas import bell
 
     def refuse(*args, **kwargs):
@@ -227,8 +240,8 @@ def test_bruteforce_stays_a_set_partition_sum(monkeypatch):
         for r, want in enumerate(frozen):
             walked.clear()
             assert node_count_bruteforce(r, chern) == want
-            if r >= 2:
-                assert walked == [[r - 1, BELL_NUMBERS[r - 1]]]
+            if r >= 3:
+                assert walked == [[r - 2, BELL_NUMBERS[r - 2]]]
             else:
                 assert walked == []
 
@@ -331,6 +344,18 @@ def test_node_count_rejects_non_integral_total():
         node_count(2, ChernNumbers(1, 0, 0, 0))
     with pytest.raises(ArithmeticError):
         node_count_by_signatures(2, ChernNumbers(1, 0, 0, 0))
+
+
+def test_signature_oracle_range_is_checked_before_any_form(monkeypatch):
+    # r = 16 used to fail in a_form and r = -1 in complete_bell_by_signatures;
+    # the oracle refuses both in its own name before reading the table
+    def refuse(i):
+        raise AssertionError(f"a_form({i}) evaluated")
+
+    monkeypatch.setattr(checks, "a_form", refuse)
+    for r in (16, -1):
+        with pytest.raises(ValueError, match=rf"^node_count_by_signatures: r must be in 0..{MAX_I}, got {r}$"):
+            node_count_by_signatures(r, ChernNumbers.p2(4))
 
 
 def test_signature_oracle_memo_keys_on_the_values(monkeypatch):
