@@ -28,11 +28,6 @@ from .partitions import signature_tree
 MAX_R = 15
 
 
-def _check_r(r):
-    if not 1 <= r <= MAX_R:
-        raise ValueError(f"Bell polynomial index must be in 1..{MAX_R}, got {r}")
-
-
 @lru_cache(maxsize=1)
 def _complete_bells():
     """Y_0..Y_MAX_R, built together in one pass over the signature tree:
@@ -49,18 +44,15 @@ def complete_bell(r):
     The monomial x_1^{j_1}...x_r^{j_r} carries the number of set partitions
     of an r-set with j_i blocks of size i.
     """
-    require_ints("complete_bell", r=r)
-    _check_r(r)
+    require_ints("complete_bell", 1, MAX_R, r=r)
     return _complete_bells()[r]
 
 
 def partial_bell(n, l):
     """Partial Bell polynomial: the part of complete_bell(n) with l blocks,
     sliced from the cached complete polynomial."""
-    require_ints("partial_bell", n=n, l=l)
-    _check_r(n)
-    if not 1 <= l <= n:
-        raise ValueError(f"partial_bell: need 1 <= l <= n, got l={l}, n={n}")
+    require_ints("partial_bell", 1, MAX_R, n=n)
+    require_ints("partial_bell", 1, n, l=l)
     complete = complete_bell(n)
     return complete._new({e: c for e, c in complete.terms.items() if sum(e) == l})
 

@@ -85,9 +85,7 @@ def complete_bell_by_signatures(r, values):
     """Oracle for bell.complete_bell_sequence: the p(r)-term sum over block-size
     signatures of count * prod x_i^{j_i}, at x_1..x_r = values[:r].  Integers
     stay integers; any other input is evaluated in Fractions."""
-    require_ints("complete_bell_by_signatures", r=r)
-    if not 0 <= r <= MAX_R:
-        raise ValueError(f"complete_bell_by_signatures: r must be in 0..{MAX_R}, got {r}")
+    require_ints("complete_bell_by_signatures", 0, MAX_R, r=r)
     if len(values) < r:
         raise ValueError(f"need {r} values, got {len(values)}")
     return _signature_sums_at(values[:r])[r]
@@ -121,9 +119,7 @@ def _signature_sums(xs, ints):
 def node_count_by_signatures(r, chern):
     """Oracle for tables.node_count through the signature sum; the same
     ArithmeticError on a non-integral count."""
-    require_ints("node_count_by_signatures", r=r)
-    if not 0 <= r <= MAX_I:
-        raise ValueError(f"node_count_by_signatures: r must be in 0..{MAX_I}, got {r}")
+    require_ints("node_count_by_signatures", 0, MAX_I, r=r)
     total = complete_bell_by_signatures(r, [a_form(i).evaluate(chern) for i in range(1, r + 1)])
     quotient, remainder = divmod(total, math.factorial(r))
     if remainder:

@@ -143,9 +143,7 @@ def pushforward_to_Y(c, n):
 
     The dimension count leaves only L^2 -> d, LK -> k, K^2 -> s, x -> x.
     """
-    require_ints("pushforward_to_Y", n=n)
-    if not 0 <= n <= Q_MAX:
-        raise ValueError(f"pushforward_to_Y: H power must be in 0..{Q_MAX}, got {n}")
+    require_ints("pushforward_to_Y", 0, Q_MAX, n=n)
     return LinearForm(
         d=c.coefficient((2, 0, 0, n)),
         k=c.coefficient((1, 1, 0, n)),
@@ -169,9 +167,7 @@ def _class_table():
 def q_general(n):
     """Equivalence of the small diagonal on a general surface, as a linear
     form in the four Chern numbers: the H^n pushforward of cls_n."""
-    require_ints("q_general", n=n)
-    if not 1 <= n <= Q_MAX:
-        raise ValueError(f"q_general: n must be in 1..{Q_MAX}, got {n}")
+    require_ints("q_general", 1, Q_MAX, n=n)
     return pushforward_to_Y(_class_table()[n - 1], n)
 
 
@@ -181,15 +177,13 @@ def c_correction(n):
     C_4 = -(3/2 pi_*[H^4] cls_3 - 2 pi_*[H^4] cls_2); zero for n <= 2, and no
     formula exists beyond n = 4.  That the plane formulas lift to these forms
     is an observed identity, held exactly by `tables.a_decomposition_check`."""
-    require_ints("c_correction", n=n)
+    require_ints("c_correction", 1, 4, n=n)
     if n in (1, 2):
         return LinearForm()
     cls = _class_table()
     if n == 3:
         return -pushforward_to_Y(cls[1], 3)
-    if n == 4:
-        return pushforward_to_Y(cls[1], 4) * 2 - pushforward_to_Y(cls[2], 4) * Fraction(3, 2)
-    raise ValueError(f"c_correction: no formula for n={n} (only n <= 4)")
+    return pushforward_to_Y(cls[1], 4) * 2 - pushforward_to_Y(cls[2], 4) * Fraction(3, 2)
 
 
 @lru_cache(maxsize=1)
@@ -236,9 +230,7 @@ def _plane_table():
 
 def q_p2_extraction(n):
     """Coefficient of l^2 H^n in the expanded diagonal class M_n; a quadratic in d."""
-    require_ints("q_p2_extraction", n=n)
-    if not 1 <= n <= Q_MAX:
-        raise ValueError(f"q_p2_extraction: n must be in 1..{Q_MAX}, got {n}")
+    require_ints("q_p2_extraction", 1, Q_MAX, n=n)
     return _plane_table()[n - 1].coefficient(2, n)
 
 
@@ -248,9 +240,7 @@ def q_p2_closed(n):
     Constant term uses the reading 25/2 n^2 - 29/2 n + 3, which is the one
     consistent with the small-n table values.
     """
-    require_ints("q_p2_closed", n=n)
-    if n < 1:
-        raise ValueError(f"q_p2_closed: n must be >= 1, got {n}")
+    require_ints("q_p2_closed", 1, n=n)
     b1 = binomial(3 * n - 3, n - 1)
     b2 = binomial(3 * n - 3, n - 2)
     b3 = binomial(3 * n - 3, n - 3)
@@ -268,7 +258,7 @@ def q_p2_closed(n):
 def c_correction_p2(n):
     """`c_correction(n)` on (P^2, O(d)), a polynomial in d; cached per n and
     shared by every `multiple_point_degree`."""
-    require_ints("c_correction_p2", n=n)
+    require_ints("c_correction_p2", 1, 4, n=n)
     return c_correction(n).specialize_p2()
 
 
@@ -276,9 +266,8 @@ def multiple_point_degree(r, d):
     """Number of r-fold points of the projection of the critical locus over
     the system of plane degree-d curves, via the Bell combination of the
     equivalence and correction terms."""
-    require_ints("multiple_point_degree", r=r, d=d)
-    if not 1 <= r <= 4:
-        raise ValueError(f"multiple_point_degree: r must be in 1..4, got {r}")
+    require_ints("multiple_point_degree", 1, 4, r=r)
+    require_ints("multiple_point_degree", 1, d=d)
     args = []
     for i in range(1, r + 1):
         qi = q_p2_closed(i)(d)

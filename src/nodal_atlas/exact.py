@@ -28,19 +28,24 @@ def binomial(n, k):
 
     Both k > n and k < 0 return 0; n must be non-negative.
     """
-    require_ints("binomial", n=n, k=k)
-    if n < 0:
-        raise ValueError(f"binomial: n must be >= 0, got {n}")
+    require_ints("binomial", 0, n=n)
+    require_ints("binomial", k=k)
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
 
 
-def require_ints(caller, **sizes):
-    """Refuse a size that is not an int (a float, Fraction or bool), naming it."""
+def require_ints(caller, lo=None, hi=None, **sizes):
+    """Refuse a size that is not an int (a float, Fraction or bool), naming
+    it: TypeError.  Given lo, also refuse one below lo or, given hi, above
+    hi: ValueError.  Every size argument of the package is checked here, so
+    each refusal has one wording and names the function that refuses."""
     for name, value in sizes.items():
         if type(value) is not int:
             raise TypeError(f"{caller}: {name} must be an int, got {value!r}")
+        if lo is not None and (value < lo or hi is not None and value > hi):
+            span = f">= {lo}" if hi is None else f"in {lo}..{hi}"
+            raise ValueError(f"{caller}: {name} must be {span}, got {value}")
 
 
 def _as_fraction(x):
@@ -212,8 +217,7 @@ class SparsePoly:
 
     def __pow__(self, e):
         """Square-and-multiply, every product through __mul__."""
-        if e < 0:
-            raise ValueError("negative power")
+        require_ints(f"{type(self).__name__}.__pow__", 0, e=e)
         result, base = None, self
         while e:
             if e & 1:

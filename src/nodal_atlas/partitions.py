@@ -53,31 +53,17 @@ class SetPartition:
         return f"SetPartition({format_partition(self)!r})"
 
 
-# Text of each block seen so far, e.g. (1, 2) -> '12', for r <= 9 and for
-# r > 9 (comma-separated).  Enumerated partitions share their block tuples,
-# and an r-set has at most 2^r - 1 blocks, so the walk of any r <= MAX_R
-# fits below the limit; at the limit a table is emptied, so hand-built
-# blocks cannot grow it without bound.
-_BLOCK_TEXT_LIMIT = 1 << MAX_R
-_BLOCK_TEXT = ({}, {})
-_BLOCK_SEP = ("", ",")
-
-
 def format_partition(pi):
     """Text form '12|345'; elements are comma-separated when r > 9."""
-    return "|".join(_block_texts(pi.blocks, pi.r > 9))
+    wide = pi.r > 9
+    return "|".join([_block_text(b, wide) for b in pi.blocks])
 
 
-def _block_texts(blocks, wide):
-    """The text of each block, as a new list, from the table of that width."""
-    text = _BLOCK_TEXT[wide]
-    try:
-        return list(map(text.__getitem__, blocks))
-    except KeyError:
-        if len(text) + len(blocks) > _BLOCK_TEXT_LIMIT:
-            text.clear()
-        text.update((b, _BLOCK_SEP[wide].join(map(str, b))) for b in blocks)
-        return list(map(text.__getitem__, blocks))
+# 2^MAX_R: every block of one r <= MAX_R fits, and hand-built ones are evicted
+@lru_cache(maxsize=4096)
+def _block_text(block, wide):
+    """Text of one block, e.g. (1, 2) -> '12', comma-separated when wide."""
+    return ("," if wide else "").join(map(str, block))
 
 
 def iter_partitions(r):
@@ -96,9 +82,7 @@ def iter_partitions(r):
     each block b + (r,) is built once per walk and shared by every partition
     in which r joins b.
     """
-    require_ints("iter_partitions", r=r)
-    if not 1 <= r <= MAX_R:
-        raise ValueError(f"iter_partitions: r must be in 1..{MAX_R}, got {r}")
+    require_ints("iter_partitions", 1, MAX_R, r=r)
     return _walk(r)
 
 
@@ -146,9 +130,7 @@ def partition_rows(r):
     up once, and each of its extensions (r joined to one of its blocks, then
     r set apart) is one join of them, so no partition of {1,...,r} is built.
     """
-    require_ints("partition_rows", r=r)
-    if not 1 <= r <= MAX_R:
-        raise ValueError(f"partition_rows: r must be in 1..{MAX_R}, got {r}")
+    require_ints("partition_rows", 1, MAX_R, r=r)
     return _rows(r)
 
 
@@ -157,11 +139,11 @@ def _rows(r):
         yield "1", 1, 1
         return
     wide = r > 9
-    tail = _BLOCK_SEP[wide] + str(r)
+    tail = ("," if wide else "") + str(r)
     join = "|".join
     for pi in _walk(r - 1):
         blocks, mobius = pi.blocks, pi.mobius
-        texts = _block_texts(blocks, wide)
+        texts = [_block_text(b, wide) for b in blocks]
         m = len(blocks)
         for j, b in enumerate(blocks):
             t = texts[j]
@@ -194,9 +176,7 @@ def signature_tree(n):
     child's, is the child's: the division is exact.  Within one size the
     partitions come in decreasing lexicographic order of their parts.
     """
-    require_ints("signature_tree", n=n)
-    if not 0 <= n <= MAX_SIGNATURE_SIZE:
-        raise ValueError(f"signature_tree: n must be in 0..{MAX_SIGNATURE_SIZE}, got {n}")
+    require_ints("signature_tree", 0, MAX_SIGNATURE_SIZE, n=n)
     nodes = []
     stack = [(-1, 0, 0, (), 1)]  # the root
     while stack:

@@ -65,8 +65,7 @@ class PowerSeries:
         cs = list(map(_as_fraction, coeffs))
         if order is None:
             order = len(cs) - 1
-        if order < 0:
-            raise ValueError("truncation order must be >= 0")
+        require_ints("PowerSeries", 0, order=order)
         cs = cs[: order + 1]
         cs += [Fraction(0)] * (order + 1 - len(cs))
         self.coeffs = cs
@@ -147,7 +146,7 @@ def _sigma(n):
 
 def eisenstein_g2(order):
     """-1/24 + sum sigma(n) q^n."""
-    require_ints("eisenstein_g2", order=order)
+    require_ints("eisenstein_g2", 0, order=order)
     return PowerSeries(
         [Fraction(-1, 24)] + [_sigma(n) for n in range(1, order + 1)], order
     )
@@ -171,9 +170,7 @@ def _delta_over_q(order):
 
 def discriminant(order):
     """Delta = q * prod_{m>0} (1 - q^m)^24, truncated."""
-    require_ints("discriminant", order=order)
-    if order < 0:
-        raise ValueError("discriminant needs order >= 0")
+    require_ints("discriminant", 0, order=order)
     return PowerSeries((0,) + _delta_over_q(order - 1), order)
 
 
@@ -202,10 +199,7 @@ def _inputs():
 
 
 def _check_table(caller, order, forms):
-    require_ints(caller, order=order)
-    if order > min(len(forms), TABLE_ORDER):
-        raise ValueError(f"truncation order {order} exceeds the coefficient table "
-                         f"extent {TABLE_ORDER} or the {len(forms)} rows given")
+    require_ints(caller, 0, min(TABLE_ORDER, len(forms)), order=order)
 
 
 # name: (column, multiples over 24 of log(D G_2/q) and log(Delta D^2 G_2/q^2))

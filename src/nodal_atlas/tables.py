@@ -81,11 +81,7 @@ def _rows():
 
 
 def a_form(i):
-    require_ints("a_form", i=i)
-    if i < 1:
-        raise ValueError(f"a_form: index must be >= 1, got {i}")
-    if i > MAX_I:
-        raise ValueError(f"a_form: table exhausted at i={MAX_I}, got {i}")
+    require_ints("a_form", 1, MAX_I, i=i)
     return _rows()[i]["form"]
 
 
@@ -100,7 +96,7 @@ def tilde_consistency(i):
     agree except the x-cell of row 14, whose printed sign is inconsistent;
     the a_i row is authoritative there.
     """
-    require_ints("tilde_consistency", i=i)
+    require_ints("tilde_consistency", 1, MAX_I, i=i)
     derived = (c // math.factorial(i - 1) for c in a_form(i).signed())
     return [a == b for a, b in zip(derived, _rows()[i]["a_tilde"])]
 
@@ -120,9 +116,7 @@ def node_counts(r, chern):
     Fraction exactly where it is not integral, which signals corrupted table
     data or numbers that are no surface's.  chern is read through ChernNumbers.
     """
-    require_ints("node_counts", r=r)
-    if r < 0 or r > MAX_I:
-        raise ValueError(f"node_counts: r must be in 0..{MAX_I}, got {r}")
+    require_ints("node_counts", 0, MAX_I, r=r)
     chern = ChernNumbers._make(chern)
     rows = _rows()
     signed = [(-1) ** (i - 1) * rows[i]["form"]._value(chern) for i in range(1, r + 1)]
@@ -165,9 +159,7 @@ def node_count_bruteforce(r, chern):
     block and the other apart, and both apart, together or not.  There is
     no division, since an a_i may be zero.  r runs over 0..MAX_R.
     """
-    require_ints("node_count_bruteforce", r=r)
-    if not 0 <= r <= MAX_R:
-        raise ValueError(f"node_count_bruteforce: r must be in 0..{MAX_R}, got {r}")
+    require_ints("node_count_bruteforce", 0, MAX_R, r=r)
     chern = ChernNumbers._make(chern)
     if r == 0:
         return 1
@@ -282,9 +274,7 @@ def node_polynomial(r):
     packed exponents.  The only division is the exact one by r!; the result
     is the cached, immutable SparsePoly itself, one object per r.
     """
-    require_ints("node_polynomial", r=r)
-    if not 1 <= r <= MAX_I:
-        raise ValueError(f"node_polynomial: r must be in 1..{MAX_I}, got {r}")
+    require_ints("node_polynomial", 1, MAX_I, r=r)
     return _node_polynomials()[r]
 
 
@@ -292,9 +282,8 @@ def severi_degree_p2(d, r):
     """Count of r-nodal plane curves of degree d through the expected number
     of points.  Virtual (warned, not refused) outside the validity range
     r <= 2d - 2."""
-    require_ints("severi_degree_p2", d=d, r=r)
-    if d < 1:
-        raise ValueError(f"severi_degree_p2: degree must be >= 1, got {d}")
+    require_ints("severi_degree_p2", 1, d=d)
+    require_ints("severi_degree_p2", 0, MAX_I, r=r)
     if r > 2 * d - 2:
         warnings.warn(
             f"r={r} exceeds the enumerative validity threshold 2d-2={2 * d - 2} "
@@ -357,9 +346,7 @@ def a_decomposition_check(i):
     sides come from independent data: the coefficient table, and the chow
     layer with the Thom table.
     """
-    require_ints("a_decomposition_check", i=i)
-    if not 2 <= i <= 4:
-        raise ValueError(f"a_decomposition_check: i must be in 2..4, got {i}")
+    require_ints("a_decomposition_check", 2, 4, i=i)
     sign, factorial = (-1) ** (i - 1), math.factorial(i - 1)
     thom = chow.LinearForm()
     for alpha in kazarian.tabulated_types(i):

@@ -142,7 +142,7 @@ def test_pushforward_cap():
 def test_pushforward_refuses_a_negative_power():
     # a negative H power used to read an absent coefficient: the zero form
     for n in (-1, -Q_MAX):
-        with pytest.raises(ValueError, match=rf"pushforward_to_Y: H power must be in 0\.\.{Q_MAX}, got {n}"):
+        with pytest.raises(ValueError, match=rf"^pushforward_to_Y: n must be in 0\.\.{Q_MAX}, got {n}$"):
             pushforward_to_Y(chow._class_table()[1], n)
     assert pushforward_to_Y(GradedClass({(2, 0, 0, 0): 5}), 0) == LinearForm(5, 0, 0, 0)
 

@@ -9,7 +9,7 @@ from types import MappingProxyType
 import pytest
 
 from nodal_atlas import bell, checks, chow, kazarian, partitions, qseries, tables
-from nodal_atlas.chow import H, Q_MAX, GradedClass, LinearForm, P2Class
+from nodal_atlas.chow import H, L, Q_MAX, GradedClass, LinearForm, P2Class
 from nodal_atlas.exact import PolyD, SparsePoly, binomial, format_rational
 
 
@@ -316,3 +316,81 @@ def test_size_arguments_must_be_ints(key, value):
     refuser = REFUSED_BY.get(function, function)
     with pytest.raises(TypeError, match=rf"^{refuser}: {argument} must be an int, got "):
         call(value)
+
+
+# the range of each bounded size in SIZE_CALLS, (lo, hi) or (lo, None) with
+# no upper bound; partial_bell's l is called with n = 3, and each table
+# reader with the 15 shipped rows
+SIZE_BOUNDS = {
+    ("complete_bell", "r"): (1, bell.MAX_R),
+    ("partial_bell", "n"): (1, bell.MAX_R),
+    ("partial_bell", "l"): (1, 3),
+    ("complete_bell_by_signatures", "r"): (0, bell.MAX_R),
+    ("node_count_by_signatures", "r"): (0, tables.MAX_I),
+    ("pushforward_to_Y", "n"): (0, Q_MAX),
+    ("q_general", "n"): (1, Q_MAX),
+    ("c_correction", "n"): (1, 4),
+    ("q_p2_extraction", "n"): (1, Q_MAX),
+    ("q_p2_closed", "n"): (1, None),
+    ("c_correction_p2", "n"): (1, 4),
+    ("multiple_point_degree", "r"): (1, 4),
+    ("multiple_point_degree", "d"): (1, None),
+    ("binomial", "n"): (0, None),
+    ("iter_partitions", "r"): (1, partitions.MAX_R),
+    ("enumerate_partitions", "r"): (1, partitions.MAX_R),
+    ("partition_rows", "r"): (1, partitions.MAX_R),
+    ("signature_tree", "n"): (0, partitions.MAX_SIGNATURE_SIZE),
+    ("eisenstein_g2", "order"): (0, None),
+    ("discriminant", "order"): (0, None),
+    ("recover_log_b1", "order"): (0, tables.MAX_I),
+    ("recover_log_b1_direct", "order"): (0, tables.MAX_I),
+    ("recover_b1", "order"): (0, tables.MAX_I),
+    ("recover_log_b2", "order"): (0, tables.MAX_I),
+    ("recover_b2", "order"): (0, tables.MAX_I),
+    ("gyz_channel_residual", "order"): (0, tables.MAX_I),
+    ("a_form", "i"): (1, tables.MAX_I),
+    ("tilde_consistency", "i"): (1, tables.MAX_I),
+    ("node_counts", "r"): (0, tables.MAX_I),
+    ("node_count", "r"): (0, tables.MAX_I),
+    ("node_count_bruteforce", "r"): (0, partitions.MAX_R),
+    ("node_polynomial", "r"): (1, tables.MAX_I),
+    ("severi_degree_p2", "d"): (1, None),
+    ("severi_degree_p2", "r"): (0, tables.MAX_I),
+    ("a_decomposition_check", "i"): (2, 4),
+}
+
+# sizes that no range bounds: a codimension with no tabulated type has none
+UNBOUNDED_SIZES = {("tabulated_types", "codim")}
+
+
+def test_every_size_is_bounded_or_named_unbounded():
+    assert set(SIZE_BOUNDS) | UNBOUNDED_SIZES == set(SIZE_CALLS)
+    assert not set(SIZE_BOUNDS) & UNBOUNDED_SIZES
+
+
+# one value below each range and one above each upper bound
+OUT_OF_RANGE = [(key, lo - 1) for key, (lo, hi) in SIZE_BOUNDS.items()]
+OUT_OF_RANGE += [(key, hi + 1) for key, (lo, hi) in SIZE_BOUNDS.items() if hi is not None]
+
+
+@pytest.mark.parametrize("key, value", OUT_OF_RANGE, ids=[f"{'-'.join(k)}-{v}" for k, v in OUT_OF_RANGE])
+def test_size_arguments_must_be_in_range(key, value):
+    # every size is refused outside its range by one rule, before any work,
+    # in the name of the function that refuses it and with one wording
+    function, argument = key
+    lo, hi = SIZE_BOUNDS[key]
+    span = f">= {lo}" if hi is None else rf"in {lo}\.\.{hi}"
+    refuser = REFUSED_BY.get(function, function)
+    with pytest.raises(ValueError, match=rf"^{refuser}: {argument} must be {span}, got {value}$"):
+        SIZE_CALLS[key](value)
+
+
+def test_power_exponents_follow_the_size_rule():
+    # a bool exponent used to be read as 0 or 1, and a float one failed
+    # inside the bit arithmetic
+    for e in (True, 2.0, Fraction(2)):
+        with pytest.raises(TypeError, match=r"^GradedClass\.__pow__: e must be an int, got "):
+            L ** e
+    with pytest.raises(ValueError, match=r"^SparsePoly\.__pow__: e must be >= 0, got -1$"):
+        SparsePoly(1, {(1,): 1}) ** -1
+    assert L ** 1 == L

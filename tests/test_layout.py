@@ -14,6 +14,7 @@ checks parse the source with ``ast``.
 
 import ast
 from functools import lru_cache
+from itertools import pairwise
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -255,6 +256,49 @@ def test_every_size_argument_is_in_the_size_test():
         f"missing from the size test: {sorted(taking - named)}; "
         f"not a size argument of the package: {sorted(named - taking)}"
     )
+
+
+def _hand_checked_sizes(path):
+    """`module:line:function` of each `if` in the module that compares one
+    of its function's own size parameters with a constant or an all-caps
+    module bound, and raises ValueError."""
+    def raises_value_error(stmts):
+        return any(
+            isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and ast.unparse(node.exc.func) == "ValueError"
+            for stmt in stmts for node in ast.walk(stmt)
+        )
+
+    def bound(node):
+        return isinstance(node, ast.Constant) or isinstance(node, ast.Name) and node.id.isupper()
+
+    found = []
+    for func in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        args = func.args
+        sizes = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs} & SIZE_ARGUMENTS
+
+        def size(node):
+            return isinstance(node, ast.Name) and node.id in sizes
+
+        for node in ast.walk(func):
+            if isinstance(node, ast.If) and raises_value_error(node.body) and any(
+                size(a) and bound(b) or bound(a) and size(b)
+                for test in ast.walk(node.test) if isinstance(test, ast.Compare)
+                for a, b in pairwise([test.left, *test.comparators])
+            ):
+                found.append(f"{path.name}:{node.lineno}:{func.name}")
+    return found
+
+
+def test_size_bounds_go_through_require_ints():
+    # a function states its sizes' bounds in its exact.require_ints call,
+    # so each refusal has one wording; a hand-written range check is a
+    # second copy of the rule.  A comparison with a computed value, as in
+    # len(values) < r, is not a bound and is not flagged
+    copies = [site for path in MODULES for site in _hand_checked_sizes(path)]
+    assert not copies, f"size bounds checked by hand, not by require_ints: {copies}"
 
 
 def test_cli_integers_follow_the_asset_cell_rule():

@@ -157,17 +157,22 @@ def test_format_keeps_separators_apart_for_a_shared_block():
     assert format_partition(SetPartition([[1, 2], range(3, 11)])) == "1,2|3,4,5,6,7,8,9,10"
 
 
-def test_format_block_text_stays_bounded(monkeypatch):
-    # hand-built partitions bring new block tuples; at the limit the text
-    # table is emptied and refilled, and the output does not change
-    monkeypatch.setattr(partitions, "_BLOCK_TEXT_LIMIT", 8)
-    monkeypatch.setattr(partitions, "_BLOCK_TEXT", ({}, {}))
+def test_format_block_text_stays_bounded():
+    # hand-built partitions bring new block tuples: here the two-block
+    # partitions of [11] and [12], about 6,000 blocks in all.  The text
+    # cache evicts past its bound, and the output does not change
+    partitions._block_text.cache_clear()
+    bound = partitions._block_text.cache_info().maxsize
+    assert bound == 2 ** partitions.MAX_R
+    for r in (11, 12):
+        for mask in range(1, 1 << (r - 1)):
+            rest = [e for e in range(2, r + 1) if mask >> (e - 2) & 1]
+            pi = SetPartition([[1] + [e for e in range(2, r + 1) if e not in rest], rest])
+            assert format_partition(pi) == "|".join(",".join(map(str, b)) for b in pi.blocks)
+            assert partitions._block_text.cache_info().currsize <= bound
     for r in range(1, 9):
         for pi in iter_partitions(r):
-            text = format_partition(pi)
-            assert text == "|".join("".join(map(str, b)) for b in pi.blocks)
-            assert len(partitions._BLOCK_TEXT[0]) <= 8
-    assert partitions._BLOCK_TEXT[1] == {}
+            assert format_partition(pi) == "|".join("".join(map(str, b)) for b in pi.blocks)
 
 
 def test_rows_are_the_formatted_partitions():

@@ -622,6 +622,17 @@ def test_severi_virtual_warning():
         severi_degree_p2(4, 2)  # inside the validity range, no warning
 
 
+def test_severi_refuses_an_unknown_row_before_warning():
+    # r = 16 used to be warned about as virtual and then refused by
+    # node_counts; it is refused first, in severi_degree_p2's name
+    import warnings
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"^severi_degree_p2: r must be in 0\.\.{MAX_I}, got 16$"):
+            severi_degree_p2(5, 16)
+
+
 def test_integrality_grid():
     for d in range(1, 11):
         chern = ChernNumbers.p2(d)
