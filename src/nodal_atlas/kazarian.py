@@ -1,5 +1,10 @@
 """Thom polynomials for multisingularities of codimension <= 4 and the
 partition-sum counting formula for curves with a prescribed multisingularity.
+
+Which products of tabulated forms the formula sums, and how often, depends
+on the type alone, so one walk of its set partitions builds the type's plan
+once; a count then evaluates each sub-type of the plan once at the surface's
+Chern numbers.
 """
 
 from __future__ import annotations
@@ -8,7 +13,6 @@ import math
 import re
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 
 from . import assets
 from .chow import ChernNumbers, LinearForm
@@ -23,6 +27,7 @@ _LABEL_RE = re.compile(rf"^({'|'.join(CODIM)})(?:\^(0*[1-9]\d*))?$")
 MAX_CODIM = max(CODIM.values())
 
 
+@lru_cache(maxsize=256)
 def parse_type(text):
     """The sorted label tuple of a string like 'A1^2*A2' or 'A1*A3'."""
     labels = []
@@ -71,16 +76,18 @@ def aut_order(alpha):
 
 @lru_cache(maxsize=None)
 def _table():
-    """The validated Thom table, keyed by sorted label tuple, and those
-    tuples grouped by codimension in table order; malformed data raises
-    ValueError naming the file and the row.  Callers must not mutate it."""
+    """The validated Thom table, keyed by sorted label tuple, each entry its
+    form and the form's integer row (d, k, s, x), and those tuples grouped
+    by codimension in table order; malformed data raises ValueError naming
+    the file and the row.  Callers must not mutate it."""
     table, by_codim = {}, {}
 
     def parse_row(position, row):
         labels = parse_type(row["labels"])
         if labels in table:
             raise ValueError(f"duplicate type {type_key(labels)}")
-        table[labels] = LinearForm(*(assets.integer(row[c]) for c in "dksx"))
+        ints = tuple(assets.integer(row[c]) for c in "dksx")
+        table[labels] = LinearForm(*ints), ints
         by_codim.setdefault(sum(map(CODIM.get, labels)), []).append(labels)
 
     assets.load_rows("kazarian.json", ("labels", "d", "k", "s", "x"), parse_row)
@@ -93,20 +100,36 @@ def tabulated_types(codim):
     return list(_table()[1].get(codim, ()))
 
 
-def _form(labels):
-    """The tabulated form of a sorted label tuple."""
-    form = _table()[0].get(labels)
-    if form is None:
+def _entry(labels):
+    """The tabulated (form, integer row) of a sorted label tuple."""
+    entry = _table()[0].get(labels)
+    if entry is None:
         raise KeyError(
             f"multisingularity type {type_key(labels)} is not in the table "
             f"(codimension {sum(map(CODIM.get, labels))})"
         )
-    return form
+    return entry
 
 
 def s_alpha(alpha):
     """The tabulated linear form for a type of codimension <= 4."""
-    return _form(_as_type(alpha))
+    return _entry(_as_type(alpha))[0]
+
+
+@lru_cache(maxsize=64)
+def _plan(labels):
+    """The counting formula's combinatorics for a sorted label tuple, from
+    one walk of the set partitions of its indices: (|Aut|, the sub-types of
+    its blocks, ((sub-type indices, multiplicity), ...)), one entry per
+    multiset of sub-types that a partition induces.  It holds no table data,
+    so reloading the table cannot leave a count stale."""
+    subs, terms = {}, {}
+    for pi in iter_partitions(len(labels)):
+        # a block's indices increase, so its labels stay sorted
+        key = tuple(sorted(subs.setdefault(tuple(labels[i - 1] for i in block), len(subs))
+                           for block in pi.blocks))
+        terms[key] = terms.get(key, 0) + 1
+    return aut_order(labels), tuple(subs), tuple(terms.items())
 
 
 def count_multisingular(alpha, chern):
@@ -117,22 +140,19 @@ def count_multisingular(alpha, chern):
     the tabulated forms on the induced sub-multisets, divided by the
     automorphism order of the type.  Exact rational; integral for geometric
     Chern numbers, which are read through ChernNumbers like node_count's.
+    Each sub-type's form is evaluated once, and the partitions come grouped
+    from the type's plan.
     """
     chern = ChernNumbers._make(chern)
     labels = _as_type(alpha)
-    # the one-block term, looked up first so that a type outside the table
-    # fails before any enumeration
-    total = _form(labels).evaluate(chern)
-    values = {}  # block -> its Thom form at chern, each evaluated once
-    # the restricted-growth order puts the one-block partition first
-    for pi in islice(iter_partitions(len(labels)), 1, None):
-        prod = 1
-        for block in pi.blocks:
-            value = values.get(block)
-            if value is None:
-                # a block's indices increase, so its labels stay sorted
-                sub = tuple(labels[i - 1] for i in block)
-                value = values[block] = _form(sub).evaluate(chern)
-            prod *= value
-        total += prod
-    return Fraction(total, aut_order(labels))
+    _entry(labels)  # a type outside the table fails before any enumeration
+    aut, subs, terms = _plan(labels)
+    d, k, s, x = chern
+    rows = (_entry(sub)[1] for sub in subs)
+    values = [rd * d + rk * k + rs * s + rx * x for rd, rk, rs, rx in rows]
+    total = 0
+    for key, term in terms:
+        for i in key:
+            term *= values[i]
+        total += term
+    return Fraction(total, aut)

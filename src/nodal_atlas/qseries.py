@@ -140,16 +140,20 @@ def _mul(a, b, order):
     return tuple(out)
 
 
-def _sigma(n):
-    return sum(d for d in range(1, n + 1) if n % d == 0)
+def _sigmas(order):
+    """[0, sigma(1), ..., sigma(order)], the divisor sums by one sieve:
+    each d adds itself to its multiples, O(order log order) steps."""
+    sigma = [0] * (order + 1)
+    for d in range(1, order + 1):
+        for m in range(d, order + 1, d):
+            sigma[m] += d
+    return sigma
 
 
 def eisenstein_g2(order):
     """-1/24 + sum sigma(n) q^n."""
     require_ints("eisenstein_g2", 0, order=order)
-    return PowerSeries(
-        [Fraction(-1, 24)] + [_sigma(n) for n in range(1, order + 1)], order
-    )
+    return PowerSeries([Fraction(-1, 24)] + _sigmas(order)[1:], order)
 
 
 def _delta_over_q(order):
@@ -176,7 +180,7 @@ def discriminant(order):
 
 def _dg2(order):
     """t = D G_2 = sum n sigma(n) q^n through q^order, as integers."""
-    return (0,) + tuple(n * _sigma(n) for n in range(1, order + 1))
+    return tuple(n * sigma for n, sigma in enumerate(_sigmas(order)))
 
 
 @lru_cache(maxsize=1)
@@ -224,16 +228,17 @@ def _table_series(rows):
     return series
 
 
-def _read(caller, name, order, forms):
-    """Series `name` of the table `forms` through q^order, as a fresh PowerSeries."""
-    _check_table(caller, order, forms)
+def _read(name, order, forms):
+    """Series `name` of the table `forms` through q^order, as a fresh
+    PowerSeries; the caller has checked order and forms."""
     return PowerSeries(_table_series(tuple(forms[:TABLE_ORDER]))[name][: order + 1], order)
 
 
 def recover_log_b1(order, forms):
     """log B_1 through q^order: c_n = sum_r y_r(n) (-1)^{r-1} (F_r - G_r)/r,
     with y_r(n) the q^n coefficient of (D G_2)^r."""
-    return _read("recover_log_b1", "log_b1", order, forms)
+    _check_table("recover_log_b1", order, forms)
+    return _read("log_b1", order, forms)
 
 
 def recover_log_b1_direct(order, forms):
@@ -252,16 +257,19 @@ def recover_log_b1_direct(order, forms):
 
 def recover_b1(order, forms):
     """B_1 itself: the series exponential of log B_1; b_0 = 1."""
-    return _read("recover_b1", "b1", order, forms)
+    _check_table("recover_b1", order, forms)
+    return _read("b1", order, forms)
 
 
 def recover_log_b2(order, forms):
     """log B_2 through q^order: 1/2 log(D G_2/q) plus the k-channel sum."""
-    return _read("recover_log_b2", "log_b2", order, forms)
+    _check_table("recover_log_b2", order, forms)
+    return _read("log_b2", order, forms)
 
 
 def recover_b2(order, forms):
-    return _read("recover_b2", "b2", order, forms)
+    _check_table("recover_b2", order, forms)
+    return _read("b2", order, forms)
 
 
 def gyz_channel_residual(channel, order, forms):
@@ -274,4 +282,4 @@ def gyz_channel_residual(channel, order, forms):
         raise ValueError(f"unknown channel {channel!r}; expected one of {CHANNELS}")
     if channel == "k":
         return PowerSeries([], order)
-    return _read("gyz_channel_residual", "d" if channel == "d" else "x", order, forms)
+    return _read("d" if channel == "d" else "x", order, forms)

@@ -1,8 +1,13 @@
 import itertools
+import json
+import math
+import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import nodal_atlas.kazarian as kz
 from nodal_atlas.chow import LinearForm, c_correction, excess_a1a2, excess_a1a2_p2, q_general
 from nodal_atlas.kazarian import (
     aut_order,
@@ -114,23 +119,69 @@ def _set_partitions(elements):
         yield [[first]] + sub
 
 
-def test_partition_sum_vs_ordered_bruteforce():
-    import math
+def _ordered_count(alpha, chern):
+    """The count of a sorted label tuple from ordered set partitions, each
+    unordered one counted l! times: it reads neither the partition
+    enumerator nor the module's plan."""
+    by_length = {}
+    for ordered in _ordered_partitions(len(alpha)):
+        prod = Fraction(1)
+        for block in ordered:
+            # the blocks come in any order, so sort each sub-type here
+            sub = tuple(sorted(alpha[i] for i in block))
+            prod *= s_alpha(sub).evaluate(chern)
+        by_length[len(ordered)] = by_length.get(len(ordered), Fraction(0)) + prod
+    total = sum(v / math.factorial(l) for l, v in by_length.items())
+    return total / aut_order(alpha)
 
-    chern = ChernNumbers(7, -3, 2, 5)
+
+def _seeded_surfaces(count, seed):
+    """Half on the adjunction/Noether lattice (L^2 + L.K even, K^2 + c_2 = 0
+    mod 12), half drawn freely, where counts need not be integral."""
+    rng = random.Random(seed)
+    surfaces = []
+    for i in range(count):
+        d, k, s, x = (rng.randint(-400, 400) for _ in range(4))
+        if i % 2 == 0:
+            d += (d + k) % 2
+            x -= (s + x) % 12
+        surfaces.append(ChernNumbers(d, k, s, x))
+    return surfaces
+
+
+def test_partition_sum_vs_ordered_bruteforce():
+    # every tabulated type, on and off the lattice
+    surfaces = [ChernNumbers(7, -3, 2, 5)] + _seeded_surfaces(20, seed=31)
+    assert any((c.s + c.x) % 12 for c in surfaces)
+    assert any((c.d + c.k) % 2 == 0 and (c.s + c.x) % 12 == 0 for c in surfaces)
     for text in TABLE_TYPES:
         alpha = parse_type(text)
-        r = len(alpha)
-        by_length = {}
-        for ordered in _ordered_partitions(r):
-            prod = Fraction(1)
-            for block in ordered:
-                # the blocks come in any order, so sort each sub-type here
-                sub = tuple(sorted(alpha[i] for i in block))
-                prod *= s_alpha(sub).evaluate(chern)
-            by_length[len(ordered)] = by_length.get(len(ordered), Fraction(0)) + prod
-        total = sum(v / math.factorial(l) for l, v in by_length.items())
-        assert count_multisingular(alpha, chern) == total / aut_order(alpha)
+        for chern in surfaces:
+            assert count_multisingular(alpha, chern) == _ordered_count(alpha, chern), (text, chern)
+
+
+def test_a_reloaded_table_changes_the_count(tmp_path, monkeypatch):
+    # the plan holds only the combinatorics of the labels, so clearing the
+    # table's own cache is enough for every count to read the new rows
+    src = Path(kz.__file__).parent / "data" / "kazarian.json"
+    rows = json.loads(src.read_text())
+    assert rows[0]["labels"] == "A1"
+    rows[0]["d"] = str(int(rows[0]["d"]) + 1)
+    (tmp_path / "kazarian.json").write_text(json.dumps(rows))
+    chern = ChernNumbers(7, -3, 2, 5)
+    before = {text: count_multisingular(text, chern) for text in TABLE_TYPES}
+    monkeypatch.setenv("NODAL_ATLAS_DATA", str(tmp_path))
+    kz._table.cache_clear()
+    try:
+        for text in TABLE_TYPES:
+            alpha = parse_type(text)
+            after = count_multisingular(alpha, chern)
+            assert after == _ordered_count(alpha, chern)
+            assert (after != before[text]) == ("A1" in alpha), text
+    finally:
+        monkeypatch.delenv("NODAL_ATLAS_DATA")
+        kz._table.cache_clear()
+    assert {text: count_multisingular(text, chern) for text in TABLE_TYPES} == before
 
 
 def test_counts_integral_on_plane():

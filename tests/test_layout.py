@@ -152,7 +152,7 @@ def test_walk_readers():
     # [r-1], each placing the last elements itself
     readers = sorted(_functions_naming("iter_partitions") + _functions_naming("_walk"))
     assert readers == [
-        "kazarian.py:count_multisingular",
+        "kazarian.py:_plan",
         "partitions.py:_rows",
         "partitions.py:enumerate_partitions",
         "partitions.py:iter_partitions",

@@ -145,6 +145,16 @@ def test_dg2_low_coefficients():
     assert qseries._dg2(6) == (0, 1, 6, 12, 28, 30, 72)
 
 
+def test_divisor_sieve_equals_the_naive_sums():
+    # G_2 and D G_2 read their divisor sums from one sieve
+    naive = [0] + [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(1, 301)]
+    assert naive[1:17] == SIGMA
+    for order in (0, 1, 16, 300):
+        assert qseries._sigmas(order) == naive[: order + 1]
+    assert eisenstein_g2(300).coeffs[1:] == naive[1:]
+    assert qseries._dg2(300) == tuple(n * sigma for n, sigma in enumerate(naive))
+
+
 def test_channel_residual_d_vanishes():
     assert gyz_channel_residual("d", TABLE_ORDER, all_forms()).is_zero()
 
