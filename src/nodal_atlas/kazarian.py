@@ -140,8 +140,6 @@ def count_multisingular(alpha, chern):
     the tabulated forms on the induced sub-multisets, divided by the
     automorphism order of the type.  Exact rational; integral for geometric
     Chern numbers, which are read through ChernNumbers like node_count's.
-    Each sub-type's form is evaluated once, and the partitions come grouped
-    from the type's plan.
     """
     chern = ChernNumbers._make(chern)
     labels = _as_type(alpha)
