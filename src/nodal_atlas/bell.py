@@ -4,8 +4,9 @@ The complete polynomials of every index up to MAX_R are built together on
 first use, in one pass over `partitions.signature_tree`: each integer
 partition of r is one monomial of Y_r, carrying the number
 r!/(prod (i!)^j_i j_i!) of set partitions with those block sizes, so the
-partition layer stays the single combinatorial source of truth; a partial
-polynomial is the slice of a complete one with a given number of blocks.
+partition layer stays the single combinatorial source of truth.  The same
+pass files each monomial under its number of blocks as well, so the partial
+polynomials are built beside the complete ones and a partial one is a lookup.
 Evaluation (multiple-point degrees, exp of a q-series) uses the O(r^2)
 complete Bell recurrence alone; the p(r)-term signature sum over the same
 tree is the oracle in `checks`, and the tests compare the two routes.  The
@@ -30,12 +31,20 @@ MAX_R = 15
 
 @lru_cache(maxsize=1)
 def _complete_bells():
-    """Y_0..Y_MAX_R, built together in one pass over the signature tree:
-    each node is one monomial of the polynomial of its size."""
+    """Row r is (Y_r, B_{r,1}, ..., B_{r,r}) for r = 0..MAX_R, built together
+    in one pass over the signature tree: each node is one monomial of the
+    complete polynomial of its size and of the partial one of its block
+    count, both in tree order.  The terms are clean as filed."""
     terms = [{} for _ in range(MAX_R + 1)]
-    for _, _, size, mults, count in signature_tree(MAX_R):
+    slices = [[{} for _ in range(r + 1)] for r in range(MAX_R + 1)]
+    blocks = {-1: -1}  # a node has one block more than its parent
+    for k, (parent, _, size, mults, count) in enumerate(signature_tree(MAX_R)):
+        blocks[k] = b = blocks[parent] + 1
         terms[size][mults] = count
-    return tuple(SparsePoly(r, t) for r, t in enumerate(terms))
+        slices[size][b][mults] = count
+    return tuple(
+        tuple(map(SparsePoly(r)._new, [t, *slices[r][1:]])) for r, t in enumerate(terms)
+    )
 
 
 def complete_bell(r):
@@ -45,16 +54,15 @@ def complete_bell(r):
     of an r-set with j_i blocks of size i.
     """
     require_ints("complete_bell", 1, MAX_R, r=r)
-    return _complete_bells()[r]
+    return _complete_bells()[r][0]
 
 
 def partial_bell(n, l):
     """Partial Bell polynomial: the part of complete_bell(n) with l blocks,
-    sliced from the cached complete polynomial."""
+    built in the same pass as the complete polynomial and cached with it."""
     require_ints("partial_bell", 1, MAX_R, n=n)
     require_ints("partial_bell", 1, n, l=l)
-    complete = complete_bell(n)
-    return complete._new({e: c for e, c in complete.terms.items() if sum(e) == l})
+    return _complete_bells()[n][l]
 
 
 def complete_bell_sequence(values):

@@ -2,6 +2,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from types import MappingProxyType
 
 import pytest
 from integer_partitions import integer_partition_signatures, signature_count
@@ -45,6 +46,26 @@ def test_complete_is_sum_of_partials():
             )
             total = total + padded
         assert total == complete_bell(r)
+
+
+def _sliced_partial_bell(n, l):
+    """B_{n,l} as it used to be built on every call: the terms of
+    complete_bell(n) with l blocks, kept in the complete polynomial's order."""
+    return {e: c for e, c in complete_bell(n).terms.items() if sum(e) == l}
+
+
+def test_partial_bell_is_the_l_block_slice_of_the_complete_polynomial():
+    # one shared read-only value per (n, l), equal to the old per-call slice
+    # term for term and in its order; test_complete_is_sum_of_partials adds
+    # the slices back up
+    for n in range(1, 16):
+        for l in range(1, n + 1):
+            part = partial_bell(n, l)
+            want = _sliced_partial_bell(n, l)
+            assert type(part) is SparsePoly and part.arity == n
+            assert list(part.terms.items()) == list(want.items())
+            assert partial_bell(n, l) is part
+            assert isinstance(part.terms, MappingProxyType)
 
 
 def _stirling2_rows(n):
@@ -91,11 +112,11 @@ def test_partial_bell_bad_blocks():
 ], ids=["float-l", "float-n", "fraction-l", "fraction-n", "bool-l", "bool-n"])
 def test_partial_bell_takes_integer_sizes_only(n, l, name, monkeypatch):
     # partial_bell(3, 2.0) used to return the two-block slice; a size that is
-    # not an int is refused before the complete polynomial is read
-    def refuse(n):
-        raise AssertionError("read the complete polynomial with a non-integer size")
+    # not an int is refused before the cached polynomials are read
+    def refuse(*args):
+        raise AssertionError("read the Bell polynomials with a non-integer size")
 
-    monkeypatch.setattr(bell, "complete_bell", refuse)
+    monkeypatch.setattr(bell, "_complete_bells", refuse)
     with pytest.raises(TypeError, match=rf"partial_bell: {name} must be an int"):
         partial_bell(n, l)
 
@@ -128,8 +149,8 @@ def test_complete_bell_equals_the_signature_by_signature_build():
 
 @pytest.mark.parametrize("first", [1, 7, 15])
 def test_one_tree_build_serves_every_r(first):
-    # whichever r comes first, one walk of the tree builds Y_0..Y_15, and
-    # the signature-sum oracle reads the same tree
+    # whichever r comes first, one walk of the tree builds Y_0..Y_15 and
+    # every B_{r,l}, and the signature-sum oracle reads the same tree
     signature_tree.cache_clear()
     bell._complete_bells.cache_clear()
     checks._signature_sums.cache_clear()
@@ -137,7 +158,8 @@ def test_one_tree_build_serves_every_r(first):
         complete_bell(first)
         for r in range(1, 16):
             complete_bell(r)
-            partial_bell(r, 1)
+            for l in range(1, r + 1):
+                partial_bell(r, l)
         assert complete_bell_by_signatures(15, list(range(3, 18))) == complete_bell(15).evaluate(range(3, 18))
         assert bell._complete_bells.cache_info().misses == 1
         assert signature_tree.cache_info().misses == 1

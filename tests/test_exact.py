@@ -199,8 +199,7 @@ def test_str_coefficients_are_refused(make):
         make()
 
 
-# Every polynomial a cache hands out, or slices from a cached value, shared
-# by all its callers.
+# Every polynomial a cache hands out, shared by all its callers.
 CACHED_VALUES = {
     "complete_bell": lambda: bell.complete_bell(4),
     "partial_bell": lambda: bell.partial_bell(6, 3),
@@ -340,8 +339,8 @@ SIZE_BOUNDS = {
     ("enumerate_partitions", "r"): (1, partitions.MAX_R),
     ("partition_rows", "r"): (1, partitions.MAX_R),
     ("signature_tree", "n"): (0, partitions.MAX_SIGNATURE_SIZE),
-    ("eisenstein_g2", "order"): (0, None),
-    ("discriminant", "order"): (0, None),
+    ("eisenstein_g2", "order"): (0, qseries.MAX_ORDER),
+    ("discriminant", "order"): (0, qseries.MAX_ORDER),
     ("recover_log_b1", "order"): (0, tables.MAX_I),
     ("recover_log_b1_direct", "order"): (0, tables.MAX_I),
     ("recover_b1", "order"): (0, tables.MAX_I),

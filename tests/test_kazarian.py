@@ -8,7 +8,22 @@ from pathlib import Path
 import pytest
 
 import nodal_atlas.kazarian as kz
-from nodal_atlas.chow import LinearForm, c_correction, excess_a1a2, excess_a1a2_p2, q_general
+from nodal_atlas.chow import (
+    H,
+    K,
+    L,
+    X,
+    GradedClass,
+    LinearForm,
+    c_correction,
+    critical_class,
+    excess_a1a2,
+    excess_a1a2_p2,
+    inverse_tangent_chern,
+    pushforward_to_Y,
+    q_general,
+)
+from nodal_atlas.exact import PolyD
 from nodal_atlas.kazarian import (
     aut_order,
     count_multisingular,
@@ -213,6 +228,57 @@ def test_low_rows_follow_from_the_coefficient_table_and_the_chow_layer():
     assert s_a1a2 == s_alpha("A1*A2") == LinearForm(-240, -288, -72, -24)
 
 
+def _zeta_product(*factors):
+    """Product of polynomials in zeta = c_1(O(1)) on P(T_S), each a list of
+    surface classes indexed by the power of zeta."""
+    out = [1]
+    for factor in factors:
+        prod = [0] * (len(out) + len(factor) - 1)
+        for i, p in enumerate(out):
+            for j, q in enumerate(factor):
+                prod[i + j] = prod[i + j] + p * q
+        out = prod
+    return out
+
+
+def _push_to_surface(poly):
+    """pi_* from P(T_S): pi_* 1 = 0 and pi_* zeta^(1+i) = s_i, the surface-degree-i
+    part of s(T) = 1 + K + (K^2 - x)."""
+    segre = inverse_tangent_chern()
+
+    def part(i):
+        return GradedClass({e: c for e, c in segre.terms.items() if e[0] + e[1] + 2 * e[2] == i})
+
+    return sum((c * part(j - 1) for j, c in enumerate(poly) if j), GradedClass())
+
+
+def test_single_singularity_rows_follow_from_jet_bundles():
+    # every single-singularity row of the Thom table, from the jet bundle
+    # J^1 L(H) (critical_class) and its refinements, reading neither the
+    # table nor the coefficient table; m = L + H and u = 1 + m
+    m = L + H
+    u = 1 + m
+    crit = critical_class()
+    # the Hessian kills the kernel line zeta, and the cubic vanishes on it
+    a3 = _zeta_product([crit], [m * m + K * m + X, 2 * m + K, 1], [m, 3])
+    forms = {
+        "A1": pushforward_to_Y(crit, 1),
+        # the Hessian's degeneracy class
+        "A2": pushforward_to_Y(crit * 2 * (K + m), 2),
+        "A3": pushforward_to_Y(_push_to_surface(a3), 3),
+        # the discriminant of the (y^2, x^2 y, x^4) part on the A3 locus
+        "A4": pushforward_to_Y(_push_to_surface(_zeta_product(a3, [2 * (K + m), 2])), 4),
+        # the degree-6 part of c(J^2 L(H))
+        "D4": pushforward_to_Y(u * (u**2 + u * K + X) * (u**2 + 2 * u * K + 4 * X) * (u + K), 4),
+    }
+    rows = {"A1": (3, 2, 0, 1), "A2": (12, 12, 2, 2), "A3": (50, 64, 17, 5),
+            "A4": (180, 280, 100, 0), "D4": (15, 20, 5, 5)}
+    for label, form in forms.items():
+        assert form == s_alpha(label), label
+        assert (form.d, form.k, form.s, form.x) == rows[label], label
+    assert forms["D4"].specialize_p2() == PolyD([60, -60, 15])  # 15 (d - 2)^2 on P^2
+
+
 def test_tabulated_types_by_codimension():
     by_codim = [[type_key(alpha) for alpha in tabulated_types(c)] for c in range(1, 6)]
     assert sum(by_codim, []) == TABLE_TYPES
@@ -258,6 +324,27 @@ def test_unknown_label_and_empty_type_raise_value_error():
             fn(())
         with pytest.raises(ValueError, match="at least one label"):
             fn([])
+
+
+def test_a_label_sequence_is_normalised_once_and_its_errors_every_time():
+    chern = ChernNumbers(7, -3, 2, 5)
+    kz._sorted_labels.cache_clear()
+    want = count_multisingular("A1^2*A2", chern)
+    for alpha in (("A2", "A1", "A1"), ["A2", "A1", "A1"], ("A2", "A1", "A1")):
+        assert count_multisingular(alpha, chern) == want
+    assert kz._sorted_labels.cache_info().misses == 1
+    # a refusal is not cached: the same text on every call
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            count_multisingular(("A1", "A9"), chern)
+        assert info.value.args == ("unknown singularity label 'A9'",)
+    for _ in range(2):
+        with pytest.raises(ValueError) as info:
+            s_alpha(())
+        assert info.value.args == ("a multisingularity type needs at least one label",)
+    for alpha in (alpha for c in range(1, 5) for alpha in tabulated_types(c)):
+        assert s_alpha(alpha) == s_alpha(type_key(alpha))
+        assert s_alpha(alpha) == s_alpha(tuple(reversed(alpha)))
 
 
 def test_type_outside_the_table_keeps_its_key_error_text():
