@@ -37,11 +37,9 @@ def _complete_bells():
     count, both in tree order.  The terms are clean as filed."""
     terms = [{} for _ in range(MAX_R + 1)]
     slices = [[{} for _ in range(r + 1)] for r in range(MAX_R + 1)]
-    blocks = {-1: -1}  # a node has one block more than its parent
-    for k, (parent, _, size, mults, count) in enumerate(signature_tree(MAX_R)):
-        blocks[k] = b = blocks[parent] + 1
+    for _, _, size, mults, count in signature_tree(MAX_R):
         terms[size][mults] = count
-        slices[size][b][mults] = count
+        slices[size][sum(mults)][mults] = count
     return tuple(
         tuple(map(SparsePoly(r)._new, [t, *slices[r][1:]])) for r, t in enumerate(terms)
     )

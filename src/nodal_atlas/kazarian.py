@@ -59,18 +59,13 @@ def _as_type(alpha):
     label tuple; an unknown label or an empty type raises ValueError."""
     if isinstance(alpha, str):
         return parse_type(alpha)
-    return _sorted_labels(tuple(alpha))
-
-
-@lru_cache(maxsize=256)
-def _sorted_labels(labels):
-    """A tuple of labels, sorted and validated once per tuple."""
+    labels = tuple(sorted(alpha))
     for lab in labels:
         if lab not in CODIM:
             raise ValueError(f"unknown singularity label {lab!r}")
     if not labels:
         raise ValueError("a multisingularity type needs at least one label")
-    return tuple(sorted(labels))
+    return labels
 
 
 def aut_order(alpha):
