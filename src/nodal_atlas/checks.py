@@ -19,12 +19,11 @@ from . import chow, kazarian
 from .bell import MAX_R
 from .exact import PolyD, _as_fraction, require_ints
 from .partitions import signature_tree
-from .qseries import TABLE_ORDER, gyz_channel_residual, recover_b1, recover_log_b1, recover_log_b1_direct
+from .qseries import gyz_channel_residual, recover_b1, recover_log_b1, recover_log_b1_direct
 from .tables import (
     MAX_I,
     ChernNumbers,
     TILDE_EXEMPT_CELLS,
-    a_decomposition_check,
     a_form,
     all_forms,
     node_count_bruteforce,
@@ -193,6 +192,35 @@ def check_severi():
     return True, ""
 
 
+class DecompositionReport(namedtuple("DecompositionReport", "i left right")):
+    __slots__ = ()
+
+    @property
+    def ok(self):
+        return self.left == self.right
+
+
+def a_decomposition_check(i):
+    """Check a_i against the diagonal equivalence and correction terms and
+    the Thom polynomials of the higher types, in all four Chern numbers:
+
+        (-1)^{i-1} a_i = (i-1)! (Q_i + C_i) - (-1)^{i-1} i! sum_alpha S_alpha / |Aut alpha|,
+
+    alpha over the tabulated types of codimension i other than A1^i.  The
+    sides come from independent data: the coefficient table, and the chow
+    layer with the Thom table.
+    """
+    require_ints("a_decomposition_check", 2, 4, i=i)
+    sign, factorial = (-1) ** (i - 1), math.factorial(i - 1)
+    thom = chow.LinearForm()
+    for alpha in kazarian.tabulated_types(i):
+        if alpha != ("A1",) * i:
+            thom += kazarian.s_alpha(alpha) * Fraction(1, kazarian.aut_order(alpha))
+    left = a_form(i).linear_form() * sign
+    right = (chow.q_general(i) + chow.c_correction(i)) * factorial - thom * (sign * factorial * i)
+    return DecompositionReport(i, left, right)
+
+
 def check_decompositions():
     for i in (2, 3, 4):
         rep = a_decomposition_check(i)
@@ -209,7 +237,7 @@ def check_gyz_channels():
     forms = all_forms()
     parts = []
     for channel, note in (("d", ""), ("x", " (known published-table defect)")):
-        res = gyz_channel_residual(channel, TABLE_ORDER, forms)
+        res = gyz_channel_residual(channel, MAX_I, forms)
         nz = [(n, str(c)) for n, c in enumerate(res.coeffs) if c != 0]
         if nz:
             parts.append(f"{channel}-channel nonzero at {nz}{note}")
@@ -218,9 +246,9 @@ def check_gyz_channels():
 
 def check_b1_pipeline():
     forms = all_forms()
-    a = recover_log_b1(TABLE_ORDER, forms)
-    b = recover_log_b1_direct(TABLE_ORDER, forms)
-    b1 = recover_b1(TABLE_ORDER, forms)
+    a = recover_log_b1(MAX_I, forms)
+    b = recover_log_b1_direct(MAX_I, forms)
+    b1 = recover_b1(MAX_I, forms)
     return a == b and b1[0] == 1, ""
 
 

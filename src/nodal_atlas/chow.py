@@ -176,7 +176,7 @@ def c_correction(n):
     the four Chern numbers: C_3 = -pi_*[H^3] cls_2 and
     C_4 = -(3/2 pi_*[H^4] cls_3 - 2 pi_*[H^4] cls_2); zero for n <= 2, and no
     formula exists beyond n = 4.  That the plane formulas lift to these forms
-    is an observed identity, held exactly by `tables.a_decomposition_check`."""
+    is an observed identity, held exactly by `checks.a_decomposition_check`."""
     require_ints("c_correction", 1, 4, n=n)
     if n in (1, 2):
         return LinearForm()
@@ -192,7 +192,8 @@ def excess_a1a2():
     product, pi_*[H^3] (cls_2 (2(L+K) + 2H)), a linear form in the four Chern
     numbers.  The plane formula's 2(d-3)l is 2(L+K) on P^2; its lift to every
     surface is an observed identity, held exactly by the Thom table's
-    S_{A1A2} = -3(E/2 + S_{A3}).  Computed once and shared."""
+    S_{A1A2} = -3(E/2 + S_{A3}) in `checks.check_decompositions`.  Computed
+    once and shared."""
     factor = (L + K + H) * 2
     return pushforward_to_Y(_class_table()[1] * factor, 3)
 

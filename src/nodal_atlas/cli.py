@@ -22,7 +22,6 @@ from .exact import format_rational
 from .kazarian import count_multisingular, parse_type, s_alpha, type_key
 from .partitions import partition_rows
 from .qseries import (
-    TABLE_ORDER,
     discriminant,
     eisenstein_g2,
     gyz_channel_residual,
@@ -53,6 +52,10 @@ MAX_QN_N = 1000
 # Largest `partitions --r`: B_10 = 115975 lines.  Every format streams one
 # partition at a time, but B_12 would be about 4.2M lines of output.
 MAX_PARTITIONS_R = 10
+# Most digits of a `--chern` cell and of `--degree` (its d cell is D^2): every
+# count then prints in fewer than 4300 digits, Python's int-to-string limit.
+MAX_CHERN_DIGITS = 280
+MAX_DEGREE_DIGITS = 140
 # Largest node count `count --oracle` also checks by enumerating every set
 # partition (B_9 = 21147 of them); the signature-sum oracle covers every r.
 MAX_BRUTEFORCE_NODES = 9
@@ -73,6 +76,8 @@ def _parse_chern(text):
         d, k, s, x = map(assets.integer, text.split(","))
     except ValueError:
         raise ValueError(f"--chern wants four comma-separated integers, got {text!r}") from None
+    if max(map(abs, (d, k, s, x))) >= 10**MAX_CHERN_DIGITS:
+        raise ValueError(f"--chern cells must have at most {MAX_CHERN_DIGITS} digits")
     if (d + k) % 2:
         raise ValueError(f"--chern {text}: adjunction needs L^2 + L.K = d + k even, got {d + k}")
     if (s + x) % 12:
@@ -89,6 +94,8 @@ def _surface(args):
     if args.degree is not None:
         if args.degree < 1:
             raise ValueError(f"--degree must be >= 1, got {args.degree}")
+        if args.degree >= 10**MAX_DEGREE_DIGITS:
+            raise ValueError(f"--degree must have at most {MAX_DEGREE_DIGITS} digits")
         return ChernNumbers.p2(args.degree)
     if args.chern is not None:
         return _parse_chern(args.chern)
@@ -281,7 +288,7 @@ def _cmd_series(args):
     order = args.order
     _check_range("--order", order, 0, MAX_SERIES_ORDER)
     # the series read from the coefficient table stop where the table does
-    table_order = min(order, TABLE_ORDER)
+    table_order = min(order, MAX_I)
     if args.gyz_check:
         if args.channel is None:
             raise ValueError("--gyz-check needs --channel (one of d, k, s, x)")
@@ -330,21 +337,14 @@ def _cmd_check(args):
     all_forms()
     s_alpha("A1")
     results = checks.run_all()
+    ok_all = all(res.ok for res in results)
     lines = []
     rows = [["check", "status", "detail"]]
-    ok_all = True
     for res in results:
         status = "PASS" if res.ok else "FAIL"
-        ok_all = ok_all and res.ok
         lines.append(f"[{status}] {res.name}" + (f": {res.detail}" if res.detail else ""))
         rows.append([res.name, status, res.detail])
-    payload = {
-        "command": "check",
-        "passed": ok_all,
-        "results": [
-            {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-        ],
-    }
+    payload = {"command": "check", "passed": ok_all, "results": [res._asdict() for res in results]}
     _emit(args, lines, payload, rows)
     return EXIT_OK if ok_all else EXIT_INCONSISTENT
 
@@ -421,9 +421,9 @@ def build_parser():
     which.add_argument("--gyz-check", dest="gyz_check", action="store_true",
                        help="residual of one channel of the log generating identity")
     p.add_argument("--channel", choices=("d", "k", "s", "x"))
-    p.add_argument("--order", type=assets.integer, default=TABLE_ORDER,
+    p.add_argument("--order", type=assets.integer, default=MAX_I,
                    help=f"truncation order, 0..{MAX_SERIES_ORDER} (--b1, --b2 and "
-                   f"--gyz-check stop at {TABLE_ORDER})")
+                   f"--gyz-check stop at {MAX_I})")
     p.set_defaults(run=_cmd_series, which="g2", gyz_check=False)
 
     p = sub.add_parser("ratios", parents=[common],

@@ -47,14 +47,14 @@ from functools import lru_cache
 
 from .bell import complete_bell_sequence
 from .exact import _as_fraction, format_rational, require_ints
-from .tables import MAX_I as TABLE_ORDER  # the coefficient table supplies rows 1..MAX_I
+from .tables import MAX_I  # the coefficient table supplies rows 1..MAX_I
 
 CHANNELS = ("d", "k", "s", "x")
 # Largest order of eisenstein_g2 and discriminant.  Delta's three squarings
 # cost order^2: 0.4 s at 2000 on one core of a 2-core machine (Python 3.11).
 MAX_ORDER = 2000
 # the one denominator of every channel series, at every order
-_DENOMINATOR = 24 * math.lcm(*range(1, TABLE_ORDER + 1))
+_DENOMINATOR = 24 * math.lcm(*range(1, MAX_I + 1))
 
 
 class PowerSeries:
@@ -191,13 +191,13 @@ def _inputs():
     """(t, t^2, ..., t^15) for t = D G_2, and lcm(1..15) times log(D G_2/q)
     and log(Delta D^2 G_2/q^2), as integer tuples through q^15.  The log
     inputs are integral, so each L_n = m_n / n of series_log divides by n."""
-    t = _dg2(TABLE_ORDER)
+    t = _dg2(MAX_I)
     powers = [t]
-    for _ in range(1, TABLE_ORDER):
-        powers.append(_mul(powers[-1], t, TABLE_ORDER))
-    dg2_over_q = _dg2(TABLE_ORDER + 1)[1:]
+    for _ in range(1, MAX_I):
+        powers.append(_mul(powers[-1], t, MAX_I))
+    dg2_over_q = _dg2(MAX_I + 1)[1:]
     d2g2_over_q = [(n + 1) * c for n, c in enumerate(dg2_over_q)]
-    disc_d2g2_over_q2 = _mul(_delta_over_q(TABLE_ORDER), d2g2_over_q, TABLE_ORDER)
+    disc_d2g2_over_q2 = _mul(_delta_over_q(MAX_I), d2g2_over_q, MAX_I)
     log_dg2, log_disc = (
         tuple(int(_DENOMINATOR // 24 * c) for c in series_log(u).coeffs)
         for u in (dg2_over_q, disc_d2g2_over_q2)
@@ -206,7 +206,7 @@ def _inputs():
 
 
 def _check_table(caller, order, forms):
-    require_ints(caller, 0, min(TABLE_ORDER, len(forms)), order=order)
+    require_ints(caller, 0, min(MAX_I, len(forms)), order=order)
 
 
 # name: (column, multiples over 24 of log(D G_2/q) and log(Delta D^2 G_2/q^2))
@@ -234,7 +234,7 @@ def _table_series(rows):
 def _read(name, order, forms):
     """Series `name` of the table `forms` through q^order, as a fresh
     PowerSeries; the caller has checked order and forms."""
-    return PowerSeries(_table_series(tuple(forms[:TABLE_ORDER]))[name][: order + 1], order)
+    return PowerSeries(_table_series(tuple(forms[:MAX_I]))[name][: order + 1], order)
 
 
 def recover_log_b1(order, forms):

@@ -1,6 +1,5 @@
 """The table of universal linear forms a_i, node counts and node polynomials,
-plane Severi degrees, the ratio table, and the decomposition checks tying the
-table to the equivalence/correction terms and the Thom polynomials.
+plane Severi degrees and the ratio table.
 """
 
 from __future__ import annotations
@@ -12,7 +11,7 @@ from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 
-from . import assets, chow, kazarian
+from . import assets, chow
 from .chow import ChernNumbers
 from .exact import SparsePoly, require_ints
 from .partitions import MAX_R, iter_partitions
@@ -28,19 +27,16 @@ class NodeLinearForm(namedtuple("NodeLinearForm", "i D E F G")):
     def sign_factorial(self):
         return (-1) ** (self.i - 1) * math.factorial(self.i - 1)
 
-    def linear_value(self, chern):
-        """L_i = D d + E k + F s + G x, the row without its sign and factorial;
-        chern is read through ChernNumbers."""
-        return self._value(ChernNumbers._make(chern))
-
     def _value(self, chern):
-        """linear_value, unchecked, for node_count's rows; unpacking beats field reads."""
+        """L_i = D d + E k + F s + G x, the row without its sign and factorial,
+        unchecked for node_counts' rows; unpacking beats field reads."""
         _, D, E, F, G = self
         d, k, s, x = chern
         return D * d + E * k + F * s + G * x
 
     def evaluate(self, chern):
-        return self.sign_factorial() * self.linear_value(chern)
+        """a_i at chern, which is read through ChernNumbers."""
+        return self.sign_factorial() * self._value(ChernNumbers._make(chern))
 
     def signed(self):
         """The signed row (-1)^{i-1} (i-1)! (D, E, F, G): the cells of a_i."""
@@ -326,32 +322,3 @@ def ratio_table():
             vals.append(None if a == 0 else Fraction(b, a))
         rows.append(RatioRow(n, *vals))
     return rows
-
-
-class DecompositionReport(namedtuple("DecompositionReport", "i left right")):
-    __slots__ = ()
-
-    @property
-    def ok(self):
-        return self.left == self.right
-
-
-def a_decomposition_check(i):
-    """Check a_i against the diagonal equivalence and correction terms and
-    the Thom polynomials of the higher types, in all four Chern numbers:
-
-        (-1)^{i-1} a_i = (i-1)! (Q_i + C_i) - (-1)^{i-1} i! sum_alpha S_alpha / |Aut alpha|,
-
-    alpha over the tabulated types of codimension i other than A1^i.  The
-    sides come from independent data: the coefficient table, and the chow
-    layer with the Thom table.
-    """
-    require_ints("a_decomposition_check", 2, 4, i=i)
-    sign, factorial = (-1) ** (i - 1), math.factorial(i - 1)
-    thom = chow.LinearForm()
-    for alpha in kazarian.tabulated_types(i):
-        if alpha != ("A1",) * i:
-            thom += kazarian.s_alpha(alpha) * Fraction(1, kazarian.aut_order(alpha))
-    left = a_form(i).linear_form() * sign
-    right = (chow.q_general(i) + chow.c_correction(i)) * factorial - thom * (sign * factorial * i)
-    return DecompositionReport(i, left, right)

@@ -18,6 +18,7 @@ import warnings
 from fractions import Fraction
 
 from nodal_atlas.bell import SparsePoly, complete_bell, partial_bell
+from nodal_atlas.checks import a_decomposition_check
 from nodal_atlas.chow import (
     LinearForm,
     c_correction_p2,
@@ -30,7 +31,6 @@ from nodal_atlas.exact import PolyD
 from nodal_atlas.kazarian import s_alpha
 from nodal_atlas.partitions import enumerate_partitions, mobius_coefficient
 from nodal_atlas.qseries import (
-    TABLE_ORDER,
     PowerSeries,
     gyz_channel_residual,
     recover_b1,
@@ -40,9 +40,9 @@ from nodal_atlas.qseries import (
     series_log,
 )
 from nodal_atlas.tables import (
+    MAX_I as TABLE_ORDER,
     ChernNumbers,
     TILDE_EXEMPT_CELLS,
-    a_decomposition_check,
     a_form,
     all_forms,
     node_count,

@@ -3,7 +3,8 @@
 benchmarks/tracing.py resolves the polynomial classes by module attribute
 and wraps their multiplication; benchmarks/workloads.py reads `.terms`,
 `.coeffs`, `specialize_p2` and a Thom form's `.d`, `.k`, `.s`, `.x` when it
-verifies a result.  Both files are imported by path and left as they are.
+verifies a result, and parses the text of `series` and `check`.  Both files
+are imported by path and left as they are.
 """
 
 import importlib.util
@@ -14,7 +15,10 @@ import pytest
 
 BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
 
-# One small job of each kind that the polynomial kernels compute.
+# One small job of each kind that the polynomial kernels compute, and the
+# identities workload's CLI surface: the B1 and B2 series, verified through
+# `recover_log_b1_direct(...).coeffs` and `recover_log_b2(...).coeffs`, the
+# x-channel residual, and the text of `check` with its one known failure.
 JOBS = (
     ("q_general", 3),
     ("q_p2_extraction", 4),
@@ -26,6 +30,10 @@ JOBS = (
     ("node_polynomial", 5),
     ("q_p2_closed", 3),
     ("count_multisingular", "A1^2*A2", (16, -12, 9, 3)),
+    ("cli", ("series", "--b1", "--order", "15", "--format", "json")),
+    ("cli", ("series", "--b2", "--order", "7", "--format", "csv")),
+    ("cli", ("series", "--gyz-check", "--channel", "x", "--order", "15", "--format", "text")),
+    ("cli", ("check",)),
 )
 
 

@@ -278,6 +278,51 @@ def test_plane_degree_is_bounded_before_any_work(capsys, monkeypatch):
         assert err == f"error: --degree must be >= 1, got {argv[argv.index('--degree') + 1]}\n"
 
 
+def test_surface_cells_are_bounded_in_digits_before_any_work(capsys, monkeypatch):
+    # at the limits N_15 prints in fewer than 4300 digits, Python's
+    # int-to-string limit, in every format; one digit more is refused
+    # before anything is counted, with a message that names the flag
+    from nodal_atlas.tables import ChernNumbers, node_count
+
+    degree = 10**cli.MAX_DEGREE_DIGITS - 1
+    cell = 10**cli.MAX_CHERN_DIGITS - 1
+    chern = ChernNumbers(cell, cell, cell, -cell)  # on the adjunction/Noether lattice
+    chern_flag = f"--chern={','.join(map(str, chern))}"
+    for surface, numbers in (
+        (("--degree", str(degree)), ChernNumbers.p2(degree)),
+        ((chern_flag,), chern),
+    ):
+        count = node_count(15, numbers)
+        assert 4000 < len(str(abs(count))) < 4300
+        outputs = {fmt: run_cli(capsys, "count", *surface, "--nodes", "15", "--format", fmt)
+                   for fmt in ("text", "json", "csv")}
+        assert outputs["text"] == (0, f"{count}\n", "")
+        assert outputs["json"][::2] == (0, "")
+        assert json.loads(outputs["json"][1])["count"] == str(count)
+        assert outputs["csv"] == (0, f"nodes,count\n15,{count}\n", "")
+    code, out, err = run_cli(capsys, "kazarian", "--type", "A1^2*A2", chern_flag)
+    assert (code, err) == (0, "") and out
+
+    def refuse(*args):
+        raise AssertionError("counted on a surface past the digit limits")
+
+    monkeypatch.setattr(cli, "node_count", refuse)
+    monkeypatch.setattr(cli, "count_multisingular", refuse)
+    over_degree, over_cell = 10**cli.MAX_DEGREE_DIGITS, 10**cli.MAX_CHERN_DIGITS
+    past_degree = f"--degree must have at most {cli.MAX_DEGREE_DIGITS} digits"
+    past_cell = f"--chern cells must have at most {cli.MAX_CHERN_DIGITS} digits"
+    for argv, message in (
+        (("count", "--degree", str(over_degree), "--nodes", "15"), past_degree),
+        (("count", "--degree", str(10**150), "--nodes", "15", "--format", "json"), past_degree),
+        (("count", f"--chern={over_cell},0,0,0", "--nodes", "15"), past_cell),
+        (("count", f"--chern=0,0,0,{-over_cell}", "--nodes", "15", "--format", "csv"), past_cell),
+        (("kazarian", "--type", "A1", "--degree", str(over_degree)), past_degree),
+        (("kazarian", "--type", "A1", f"--chern=0,{over_cell},0,0"), past_cell),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n"), argv[:2]
+
+
 def test_qn_n_is_bounded_before_any_work(capsys, monkeypatch):
     def refuse(n):
         raise AssertionError(f"computed Q_{n} outside the --n bound")

@@ -294,7 +294,7 @@ SIZE_CALLS = {
     ("node_polynomial", "r"): lambda v: tables.node_polynomial(v),
     ("severi_degree_p2", "d"): lambda v: tables.severi_degree_p2(v, 0),
     ("severi_degree_p2", "r"): lambda v: tables.severi_degree_p2(5, v),
-    ("a_decomposition_check", "i"): lambda v: tables.a_decomposition_check(v),
+    ("a_decomposition_check", "i"): lambda v: checks.a_decomposition_check(v),
 }
 
 

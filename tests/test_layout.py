@@ -5,8 +5,9 @@ top-level function, must be used by name somewhere else in the package or in
 the benchmark; a test is not enough (oracles live in ``checks.py`` and
 ``tests/``).  No module may import a name it never uses.  Kernel products
 run through one method, block-size signatures are enumerated in one tree,
-the set-partition walk has a named list of readers, no top-level value has
-a second name, the package's `__init__.py` re-exports nothing, no cache can
+the set-partition walk has a named list of readers, the modules import each
+other along a named graph, no top-level value has a second name, the
+package's `__init__.py` re-exports nothing, no cache can
 grow without bound, every size argument is checked by one rule, and the CLI
 reads integers by one rule and writes its output through one function.  The
 checks parse the source with ``ast``.
@@ -160,9 +161,43 @@ def test_walk_readers():
     ], readers
 
 
+# Each module of the package and the package modules it imports.  A new
+# edge is declared here, so that the coefficient table, the Thom table and
+# the q-series stay sibling layers under the checks and the CLI.
+MODULE_GRAPH = {
+    "__main__": {"cli"},
+    "assets": set(),
+    "bell": {"exact", "partitions"},
+    "checks": {"bell", "chow", "exact", "kazarian", "partitions", "qseries", "tables"},
+    "chow": {"bell", "exact"},
+    "cli": {"assets", "bell", "checks", "chow", "exact", "kazarian", "partitions", "qseries",
+            "tables"},
+    "exact": set(),
+    "kazarian": {"assets", "chow", "exact", "partitions"},
+    "partitions": {"exact"},
+    "qseries": {"bell", "exact", "tables"},
+    "tables": {"assets", "chow", "exact", "partitions"},
+}
+
+
+def test_module_graph():
+    # `from . import x` and `from .x import name` are the package's edges;
+    # __init__.py imports nothing (see below)
+    graph = {}
+    for path in MODULES:
+        graph[path.stem] = {
+            name
+            for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for name in ([node.module] if node.module else [a.name for a in node.names])
+        }
+    assert graph == MODULE_GRAPH
+
+
 def test_no_second_name_for_a_top_level_value():
     # `NAME = OTHER`, OTHER bound at the top level of the same module, gives
-    # one value two names: readers then have two to follow and keep in step
+    # one value two names: readers then have two to follow and keep in step.
+    # `from .x import A as B` renames a package value in the same way
     aliases = []
     for path in [PACKAGE / "__init__.py", *MODULES]:
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -172,6 +207,9 @@ def test_no_second_name_for_a_top_level_value():
                 bound.add(stmt.name)
             elif isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 bound |= {(a.asname or a.name).split(".")[0] for a in stmt.names}
+                if isinstance(stmt, ast.ImportFrom) and stmt.level:
+                    aliases += [f"{path.name}:{stmt.lineno}:{a.name} as {a.asname}"
+                                for a in stmt.names if a.asname not in (None, a.name)]
             elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 names = {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}

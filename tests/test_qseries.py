@@ -8,7 +8,6 @@ import pytest
 from nodal_atlas import qseries
 from nodal_atlas.qseries import (
     CHANNELS,
-    TABLE_ORDER,
     PowerSeries,
     discriminant,
     eisenstein_g2,
@@ -21,7 +20,7 @@ from nodal_atlas.qseries import (
     series_exp,
     series_log,
 )
-from nodal_atlas.tables import all_forms
+from nodal_atlas.tables import MAX_I as TABLE_ORDER, all_forms
 
 # sigma_1(n) for n = 1..16
 SIGMA = [1, 3, 4, 7, 6, 12, 8, 15, 13, 18, 12, 28, 14, 24, 24, 31]

@@ -11,7 +11,11 @@ from integer_partitions import integer_partition_signatures, signature_count
 
 from nodal_atlas import assets, checks, tables
 from nodal_atlas.bell import SparsePoly, complete_bell_sequence, partial_bell
-from nodal_atlas.checks import complete_bell_by_signatures, node_count_by_signatures
+from nodal_atlas.checks import (
+    a_decomposition_check,
+    complete_bell_by_signatures,
+    node_count_by_signatures,
+)
 from nodal_atlas.chow import LinearForm, multiple_point_degree
 from nodal_atlas.exact import PolyD
 from nodal_atlas.partitions import MAX_R
@@ -21,7 +25,6 @@ from nodal_atlas.tables import (
     NodeLinearForm,
     TILDE_EXEMPT_CELLS,
     UNDEFINED_RATIO,
-    a_decomposition_check,
     a_form,
     all_forms,
     node_count,
