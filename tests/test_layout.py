@@ -162,8 +162,8 @@ def test_walk_readers():
 
 
 # Each module of the package and the package modules it imports.  A new
-# edge is declared here, so that the coefficient table, the Thom table and
-# the q-series stay sibling layers under the checks and the CLI.
+# edge is declared here: the coefficient table (`tables`) and the Thom table
+# (`kazarian`) read neither each other, and only `checks` and `cli` read both.
 MODULE_GRAPH = {
     "__main__": {"cli"},
     "assets": set(),
